@@ -221,34 +221,22 @@ func (u *Universe) collapse() {
 		}
 	}
 
-	classOf := make(map[int][]Fault)
+	// One pass over All: classes are numbered in first-seen order
+	// (classNo[root] is the number plus one, 0 while unseen), and each
+	// class lists its members in All order.
+	classNo := make([]int, 2*t.nSites)
+	u.Classes = u.Classes[:0]
 	for _, f := range u.All {
 		root := d.find(t.faultID(f))
-		classOf[root] = append(classOf[root], f)
-	}
-	// Deterministic class order: by position of first member in All.
-	firstPos := make(map[int]int)
-	for i, f := range u.All {
-		root := d.find(t.faultID(f))
-		if _, ok := firstPos[root]; !ok {
-			firstPos[root] = i
+		if classNo[root] == 0 {
+			u.Classes = append(u.Classes, nil)
+			classNo[root] = len(u.Classes)
 		}
+		k := classNo[root] - 1
+		u.Classes[k] = append(u.Classes[k], f)
 	}
-	roots := make([]int, 0, len(classOf))
-	for root := range classOf {
-		roots = append(roots, root)
-	}
-	// insertion sort by firstPos (len is moderate; avoids sort import churn)
-	for i := 1; i < len(roots); i++ {
-		for j := i; j > 0 && firstPos[roots[j-1]] > firstPos[roots[j]]; j-- {
-			roots[j-1], roots[j] = roots[j], roots[j-1]
-		}
-	}
-	u.Classes = u.Classes[:0]
 	u.Reps = u.Reps[:0]
-	for _, root := range roots {
-		class := classOf[root]
-		u.Classes = append(u.Classes, class)
+	for _, class := range u.Classes {
 		u.Reps = append(u.Reps, u.pickRep(class))
 	}
 }
