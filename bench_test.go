@@ -61,7 +61,7 @@ func (l *benchLab) optimize(b *testing.B, name string) *optirand.OptimizeResult 
 		return r
 	}
 	c := l.circ[name]
-	r, err := optirand.OptimizeWeights(c, l.faults[name], optirand.OptimizeOptions{Quantize: 0.05})
+	r, err := runOptimize(c, l.faults[name], optirand.OptimizeOptions{Quantize: 0.05})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func BenchmarkTable2ConventionalSim(b *testing.B) {
 		b.Run(bm.PaperName, func(b *testing.B) {
 			var cov float64
 			for i := 0; i < b.N; i++ {
-				res := optirand.SimulateRandomTest(c, faults, w, bm.SimPatterns, 1987, 0)
+				res := runCampaign(b, local, weighted(c, faults, w, bm.SimPatterns, 1987, 0))
 				cov = res.Coverage()
 			}
 			b.ReportMetric(100*cov, "cov%")
@@ -118,7 +118,7 @@ func BenchmarkTable3Optimize(b *testing.B) {
 		b.Run(bm.PaperName, func(b *testing.B) {
 			var last *optirand.OptimizeResult
 			for i := 0; i < b.N; i++ {
-				r, err := optirand.OptimizeWeights(c, faults, optirand.OptimizeOptions{Quantize: 0.05})
+				r, err := runOptimize(c, faults, optirand.OptimizeOptions{Quantize: 0.05})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -141,7 +141,7 @@ func BenchmarkTable4OptimizedSim(b *testing.B) {
 		b.Run(bm.PaperName, func(b *testing.B) {
 			var cov float64
 			for i := 0; i < b.N; i++ {
-				res := optirand.SimulateRandomTest(c, faults, opt.Weights, bm.SimPatterns, 1987, 0)
+				res := runCampaign(b, local, weighted(c, faults, opt.Weights, bm.SimPatterns, 1987, 0))
 				cov = res.Coverage()
 			}
 			b.ReportMetric(100*cov, "cov%")
@@ -179,8 +179,8 @@ func BenchmarkFig2CoverageCurve(b *testing.B) {
 	b.ResetTimer()
 	var covConv, covOpt float64
 	for i := 0; i < b.N; i++ {
-		conv := optirand.SimulateRandomTest(c, faults, uniform, 12000, 1987, 500)
-		o := optirand.SimulateRandomTest(c, faults, opt.Weights, 12000, 1987, 500)
+		conv := runCampaign(b, local, weighted(c, faults, uniform, 12000, 1987, 500))
+		o := runCampaign(b, local, weighted(c, faults, opt.Weights, 12000, 1987, 500))
 		covConv, covOpt = conv.Coverage(), o.Coverage()
 	}
 	b.ReportMetric(100*covConv, "conv_cov%")
@@ -196,7 +196,7 @@ func BenchmarkAppendixWeights(b *testing.B) {
 		faults := lab.faults[name]
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := optirand.OptimizeWeights(c, faults, optirand.OptimizeOptions{Quantize: 0.05}); err != nil {
+				if _, err := runOptimize(c, faults, optirand.OptimizeOptions{Quantize: 0.05}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -219,7 +219,7 @@ func BenchmarkAblationIncrementalAnalysis(b *testing.B) {
 	}{{"incremental", false}, {"full", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, err := optirand.OptimizeWeights(c, faults, optirand.OptimizeOptions{
+				_, err := runOptimize(c, faults, optirand.OptimizeOptions{
 					DisableIncremental: mode.disable,
 				})
 				if err != nil {
@@ -262,7 +262,7 @@ func BenchmarkAblationNewtonVsBisection(b *testing.B) {
 	}{{"newton", false}, {"bisection", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, err := optirand.OptimizeWeights(c, faults, optirand.OptimizeOptions{
+				_, err := runOptimize(c, faults, optirand.OptimizeOptions{
 					UseBisection: mode.bisect,
 				})
 				if err != nil {
@@ -286,7 +286,7 @@ func BenchmarkAblationQuantization(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			var n float64
 			for i := 0; i < b.N; i++ {
-				r, err := optirand.OptimizeWeights(c, faults, optirand.OptimizeOptions{Quantize: mode.grid})
+				r, err := runOptimize(c, faults, optirand.OptimizeOptions{Quantize: mode.grid})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -306,7 +306,7 @@ func BenchmarkAblationMultiDistribution(b *testing.B) {
 	b.Run("single", func(b *testing.B) {
 		var n float64
 		for i := 0; i < b.N; i++ {
-			r, err := optirand.OptimizeWeights(c, faults, optirand.OptimizeOptions{})
+			r, err := runOptimize(c, faults, optirand.OptimizeOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -338,7 +338,7 @@ func BenchmarkAblationHybridTopOff(b *testing.B) {
 	b.Run("random-only-12000", func(b *testing.B) {
 		var cov float64
 		for i := 0; i < b.N; i++ {
-			res := optirand.SimulateRandomTest(c, faults, opt.Weights, 12000, 42, 0)
+			res := runCampaign(b, local, weighted(c, faults, opt.Weights, 12000, 42, 0))
 			cov = res.Coverage()
 		}
 		b.ReportMetric(100*cov, "cov%")
@@ -406,7 +406,7 @@ func BenchmarkFaultSimulatorThroughput(b *testing.B) {
 	w := optirand.UniformWeights(c)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		optirand.SimulateRandomTest(c, faults, w, 1024, uint64(i), 0)
+		runCampaign(b, local, weighted(c, faults, w, 1024, uint64(i), 0))
 	}
 }
 
@@ -425,9 +425,10 @@ func BenchmarkCampaignWorkers(b *testing.B) {
 		w := optirand.UniformWeights(c)
 		for _, workers := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("%s/workers-%d", name, workers), func(b *testing.B) {
+				r := optirand.NewRunner(optirand.WithSimWorkers(workers))
 				var cov float64
 				for i := 0; i < b.N; i++ {
-					res := optirand.SimulateRandomTestWorkers(c, faults, w, 2048, 1987, 0, workers)
+					res := runCampaign(b, r, weighted(c, faults, w, 2048, 1987, 0))
 					cov = res.Coverage()
 				}
 				b.ReportMetric(100*cov, "cov%")
@@ -448,7 +449,7 @@ func BenchmarkOptimizeWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			var n float64
 			for i := 0; i < b.N; i++ {
-				r, err := optirand.OptimizeWeights(c, faults, optirand.OptimizeOptions{Workers: workers})
+				r, err := runOptimize(c, faults, optirand.OptimizeOptions{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -26,6 +26,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -129,8 +130,11 @@ func parbench() {
 		}
 		c := b.Build()
 		faults := optirand.CollapsedFaults(c)
-		weights := optirand.UniformWeights(c)
-		ref := optirand.SimulateRandomTest(c, faults, weights, *flagParN, seed, 0)
+		spec := optirand.CampaignSpec{
+			Circuit: c, Faults: faults, Source: optirand.Weights(optirand.UniformWeights(c)),
+			Patterns: *flagParN, Seed: seed,
+		}
+		ref := localCampaign(optirand.NewRunner(), spec)
 
 		pc := parCircuit{
 			Name:     name,
@@ -141,10 +145,9 @@ func parbench() {
 		}
 		var serial time.Duration
 		for _, w := range workerGrid {
+			r := optirand.NewRunner(optirand.WithSimWorkers(w))
 			var last *optirand.CampaignResult
-			d := measure(minTime, func() {
-				last = optirand.SimulateRandomTestWorkers(c, faults, weights, *flagParN, seed, 0, w)
-			})
+			d := measure(minTime, func() { last = localCampaign(r, spec) })
 			if w == 1 {
 				serial = d
 			}
@@ -176,6 +179,17 @@ func parbench() {
 		os.Exit(1)
 	}
 	fmt.Printf("wrote %s\n", *flagParOut)
+}
+
+// localCampaign runs spec on the local Runner r, exiting on a rejected
+// spec.
+func localCampaign(r *optirand.Runner, spec optirand.CampaignSpec) *optirand.CampaignResult {
+	res, err := r.Campaign(context.Background(), spec)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchgen: %v\n", err)
+		os.Exit(1)
+	}
+	return res
 }
 
 // campaignsEqual reports full equality of two campaign results

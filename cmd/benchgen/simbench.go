@@ -4,13 +4,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"optirand/internal/circuit"
 	"optirand/internal/fault"
 	"optirand/internal/gen"
 	"optirand/internal/prng"
@@ -19,7 +19,7 @@ import (
 )
 
 var (
-	flagSimbench = flag.Bool("simbench", false, "benchmark the wide-word fault-simulation kernels vs the frozen pre-compile kernel, write a JSON summary")
+	flagSimbench = flag.Bool("simbench", false, "benchmark the wide-word fault-simulation kernel at both lane widths, write a JSON summary")
 	flagSimOut   = flag.String("simout", "BENCH_sim.json", "simbench: summary output path")
 	flagSimCirc  = flag.String("simcircuits", "c2670,c7552,c499,c1355", "simbench: comma-separated circuits (chain-heavy random-pattern-resistant pair plus the XOR-dominated parity meshes where the diff-word path engages)")
 	flagSimN     = flag.Int("simn", 2048, "simbench: patterns per campaign measurement")
@@ -30,32 +30,27 @@ var (
 // is counted in fault-words per second: one fault-word is one
 // 64-pattern detection mask for one fault, so a W-lane DetectWords
 // call contributes W fault-words and the widths are directly
-// comparable with the one-word legacy and narrow kernels.
+// comparable.
 type simCircuit struct {
 	Name   string `json:"name"`
 	Gates  int    `json:"gates"`
 	Faults int    `json:"faults"`
 	// LanesChosen is the lane width the compiler picked for this
 	// circuit (chooseLanes); the W4/W8 columns force the width.
-	LanesChosen             int     `json:"lanes_chosen"`
-	DetectWordsPerSec       float64 `json:"detect_words_per_sec"` // wide kernel at the chosen width
-	LegacyDetectWordsPerSec float64 `json:"legacy_detect_words_per_sec"`
-	W1DetectWordsPerSec     float64 `json:"w1_detect_words_per_sec"` // narrow compiled kernel
-	W4DetectWordsPerSec     float64 `json:"w4_detect_words_per_sec"`
-	W8DetectWordsPerSec     float64 `json:"w8_detect_words_per_sec"`
-	Speedup                 float64 `json:"speedup_vs_legacy"` // chosen width vs legacy
+	LanesChosen         int     `json:"lanes_chosen"`
+	DetectWordsPerSec   float64 `json:"detect_words_per_sec"` // at the chosen width
+	W4DetectWordsPerSec float64 `json:"w4_detect_words_per_sec"`
+	W8DetectWordsPerSec float64 `json:"w8_detect_words_per_sec"`
 	// CampaignPatternsPerSec is end-to-end serial campaign throughput
-	// (good machine + detection + fault dropping) in patterns/sec,
-	// running on the wide-group batch loop.
+	// (good machine + detection + fault dropping) in patterns/sec.
 	CampaignPatternsPerSec float64 `json:"campaign_patterns_per_sec"`
-	// Steady-state allocations (all must be 0): per narrow
-	// DetectWord/Run and per wide DetectWords/RunWide call.
-	AllocsPerDetect     float64 `json:"allocs_per_detect"`
-	AllocsPerRun        float64 `json:"allocs_per_run"`
+	// Steady-state allocations per DetectWords/RunWide call (must be 0).
 	AllocsPerDetectWide float64 `json:"allocs_per_detect_wide"`
 	AllocsPerRunWide    float64 `json:"allocs_per_run_wide"`
-	// WideIdentical reports that DetectWords reproduced the legacy
-	// kernel's mask on every lane, for every fault, at every width.
+	// WideIdentical reports that W=4 and W=8 produced the same mask for
+	// every fault on every batch, and that those masks agree with the
+	// scalar reference (sim.DetectsScalar) on a fault and pattern
+	// sample.
 	WideIdentical bool `json:"wide_identical"`
 	// PatternShardsIdentical / SharedGoodIdentical report that the
 	// pattern-range-sharded and shared-good-machine campaigns
@@ -66,14 +61,11 @@ type simCircuit struct {
 
 // simSummary is the BENCH_sim.json schema.
 type simSummary struct {
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"numcpu"`
-	Seed       uint64 `json:"seed"`
-	Patterns   int    `json:"patterns"`
-	// AggregateSpeedup is the geometric mean of the per-circuit
-	// chosen-width speedups over the legacy kernel.
-	AggregateSpeedup float64      `json:"aggregate_speedup_vs_legacy"`
-	Circuits         []simCircuit `json:"circuits"`
+	GOMAXPROCS int          `json:"gomaxprocs"`
+	NumCPU     int          `json:"numcpu"`
+	Seed       uint64       `json:"seed"`
+	Patterns   int          `json:"patterns"`
+	Circuits   []simCircuit `json:"circuits"`
 }
 
 // simCampaignsEqual is campaignsEqual over the internal result type.
@@ -98,7 +90,7 @@ func simCampaignsEqual(a, b *sim.CampaignResult) bool {
 }
 
 // wideGroup loads one fixed W-lane pattern group and runs the good
-// machine; lane 0 carries words so the W=1-comparable batch is lane 0.
+// machine.
 func wideGroup(s *sim.Simulator, rng *prng.SplitMix64, nIn int) {
 	w := s.Lanes()
 	words := make([]uint64, nIn)
@@ -123,34 +115,56 @@ func measureWide(minTime time.Duration, fs *sim.FaultSimulator, faults []fault.F
 	return float64(len(faults)*w) / d.Seconds()
 }
 
-// checkWideIdentical verifies DetectWords ≡ legacy DetectWord on every
-// lane for every fault over nGroups random groups.
-func checkWideIdentical(c *gen.Benchmark, faults []fault.Fault, s *sim.Simulator, lk *sim.LegacyKernel, seed uint64, nGroups int) bool {
-	fs := sim.NewFaultSimulator(s)
-	w := s.Lanes()
+// checkWideIdentical runs 8 seeded batches through DetectWords at W=4
+// and W=8 and reports whether both widths give the same mask for every
+// fault on every batch, and whether those masks agree with the scalar
+// reference on every 16th pattern bit of up to 64 stride-sampled
+// faults.
+func checkWideIdentical(c *circuit.Circuit, faults []fault.Fault, seed uint64) bool {
+	const nBatches = 8
 	rng := prng.New(seed)
-	nIn := s.Circuit().NumInputs()
-	words := make([]uint64, nIn)
-	group := make([][]uint64, w)
-	for l := range group {
-		group[l] = make([]uint64, nIn)
-	}
-	var det [8]uint64
-	for gi := 0; gi < nGroups; gi++ {
-		for l := 0; l < w; l++ {
-			for i := range group[l] {
-				group[l][i] = rng.Uint64()
-			}
-			s.SetInputsLane(l, group[l])
+	batches := make([][]uint64, nBatches)
+	for b := range batches {
+		batches[b] = make([]uint64, c.NumInputs())
+		for i := range batches[b] {
+			batches[b][i] = rng.Uint64()
 		}
-		s.RunWide()
-		for l := 0; l < w; l++ {
-			copy(words, group[l])
-			lk.SetInputs(words)
-			lk.Run()
-			for _, f := range faults {
+	}
+	masks := func(lanes int) []uint64 {
+		s := sim.NewSimulatorLanes(c, lanes)
+		fs := sim.NewFaultSimulator(s)
+		out := make([]uint64, nBatches*len(faults))
+		var det [8]uint64
+		for g := 0; g < nBatches; g += lanes {
+			for l := 0; l < lanes; l++ {
+				s.SetInputsLane(l, batches[g+l])
+			}
+			s.RunWide()
+			for fi, f := range faults {
 				fs.DetectWords(f, det[:])
-				if det[l] != lk.DetectWord(f) {
+				for l := 0; l < lanes; l++ {
+					out[(g+l)*len(faults)+fi] = det[l]
+				}
+			}
+		}
+		return out
+	}
+	m4, m8 := masks(4), masks(8)
+	for i := range m4 {
+		if m4[i] != m8[i] {
+			return false
+		}
+	}
+	step := len(faults)/64 + 1
+	in := make([]bool, c.NumInputs())
+	for b, words := range batches {
+		for bit := b; bit < 64; bit += 16 {
+			for i := range in {
+				in[i] = words[i]>>uint(bit)&1 == 1
+			}
+			for fi := 0; fi < len(faults); fi += step {
+				got := m4[b*len(faults)+fi]>>uint(bit)&1 == 1
+				if got != sim.DetectsScalar(c, faults[fi], in) {
 					return false
 				}
 			}
@@ -159,13 +173,12 @@ func checkWideIdentical(c *gen.Benchmark, faults []fault.Fault, s *sim.Simulator
 	return true
 }
 
-// simbench measures the wide-word kernels against the retained pre-PR
-// kernel at every lane width and seeds the simulation performance
-// trajectory (BENCH_sim.json). All measurements are single-thread by
-// construction (one simulator, one goroutine); the equivalence flags
-// double as an end-to-end smoke test, and any false flag makes the
-// process exit non-zero after the summary is written so CI fails
-// while still uploading the artifact.
+// simbench measures the wide-word fault kernel at both lane widths and
+// records the simulation performance trajectory (BENCH_sim.json). All
+// measurements are single-thread by construction (one simulator, one
+// goroutine); the equivalence flags double as an end-to-end smoke
+// test, and any false flag makes the process exit non-zero after the
+// summary is written so CI fails while still uploading the artifact.
 func simbench() {
 	const seed = 1987
 	minTime := time.Duration(*flagSimMinMS) * time.Millisecond
@@ -175,11 +188,10 @@ func simbench() {
 		Seed:       seed,
 		Patterns:   *flagSimN,
 	}
-	t := report.NewTable("Fault-simulation kernels (wide-word vs pre-compile legacy, single thread)",
-		"Circuit", "Faults", "W", "Wide f-words/s", "Legacy f-words/s", "W1/W4/W8 f-words/s",
-		"Speedup", "Campaign pat/s", "Allocs", "Wide==legacy", "Shards==serial", "SharedGM==serial")
+	t := report.NewTable("Fault-simulation kernel (wide-word, single thread)",
+		"Circuit", "Faults", "W", "Wide f-words/s", "W4/W8 f-words/s",
+		"Campaign pat/s", "Allocs", "W4==W8==scalar", "Shards==serial", "SharedGM==serial")
 
-	logSpeedups := 0.0
 	allIdentical := true
 	for _, name := range strings.Split(*flagSimCirc, ",") {
 		name = strings.TrimSpace(name)
@@ -194,108 +206,58 @@ func simbench() {
 		for i := range weights {
 			weights[i] = 0.5
 		}
-
-		// One fixed batch for the one-word kernels (legacy, narrow).
-		rng := prng.New(seed)
-		words := make([]uint64, c.NumInputs())
-		for i := range words {
-			words[i] = rng.Uint64()
-		}
-		s := sim.NewSimulator(c)
-		fs := sim.NewFaultSimulator(s)
-		s.SetInputs(words)
-		s.Run()
-		lk := sim.NewLegacyKernel(c)
-		lk.SetInputs(words)
-		lk.Run()
-
-		w1 := float64(len(faults)) / measure(minTime, func() {
-			for _, f := range faults {
-				fs.DetectWord(f)
-			}
-		}).Seconds()
-		legacy := float64(len(faults)) / measure(minTime, func() {
-			for _, f := range faults {
-				lk.DetectWord(f)
-			}
-		}).Seconds()
-
 		sc := simCircuit{
-			Name:                    name,
-			Gates:                   c.NumGates(),
-			Faults:                  len(faults),
-			LanesChosen:             s.Lanes(),
-			LegacyDetectWordsPerSec: legacy,
-			W1DetectWordsPerSec:     w1,
-			WideIdentical:           true,
+			Name:          name,
+			Gates:         c.NumGates(),
+			Faults:        len(faults),
+			LanesChosen:   sim.NewSimulator(c).Lanes(),
+			WideIdentical: checkWideIdentical(c, faults, seed),
 		}
 
-		// Wide kernels at both forced widths over one fixed group.
+		// Both forced widths over one fixed group.
 		perW := map[int]float64{}
 		for _, lanes := range []int{4, 8} {
 			ws := sim.NewSimulatorLanes(c, lanes)
 			wideGroup(ws, prng.New(seed), c.NumInputs())
-			wfs := sim.NewFaultSimulator(ws)
-			perW[lanes] = measureWide(minTime, wfs, faults, lanes)
-			if !checkWideIdentical(&b, faults, ws, lk, seed+uint64(lanes), 2) {
-				sc.WideIdentical = false
-			}
-			// Restore the one-word kernels' batch on the legacy
-			// kernel for the next width's check.
-			lk.SetInputs(words)
-			lk.Run()
+			perW[lanes] = measureWide(minTime, sim.NewFaultSimulator(ws), faults, lanes)
 		}
 		sc.W4DetectWordsPerSec = perW[4]
 		sc.W8DetectWordsPerSec = perW[8]
 		sc.DetectWordsPerSec = perW[sc.LanesChosen]
-		sc.Speedup = sc.DetectWordsPerSec / legacy
-		logSpeedups += math.Log(sc.Speedup)
 
 		// Steady-state allocation guards (mirror the sim test suite).
 		pick := faults[len(faults)/2]
-		sc.AllocsPerDetect = testing.AllocsPerRun(100, func() { fs.DetectWord(pick) })
-		sc.AllocsPerRun = testing.AllocsPerRun(100, func() {
-			s.SetInputs(words)
-			s.Run()
-		})
 		var det [8]uint64
 		ws := sim.NewSimulatorLanes(c, sc.LanesChosen)
 		wideGroup(ws, prng.New(seed), c.NumInputs())
 		wfs := sim.NewFaultSimulator(ws)
-		wfs.DetectWords(pick, det[:]) // warm lane state
+		wfs.DetectWords(pick, det[:]) // warm the mirror
 		sc.AllocsPerDetectWide = testing.AllocsPerRun(100, func() { wfs.DetectWords(pick, det[:]) })
 		sc.AllocsPerRunWide = testing.AllocsPerRun(100, func() { ws.RunWide() })
 
-		// End-to-end serial campaign throughput (wide-group batch
-		// loop), plus the equivalence flags for the scheduling modes.
+		// End-to-end serial campaign throughput, plus the equivalence
+		// flags for the scheduling modes.
+		run := func(cfg sim.CampaignConfig) *sim.CampaignResult {
+			cfg.Patterns = *flagSimN
+			return sim.RunCampaignConfig(c, faults, [][]float64{weights}, seed, cfg)
+		}
 		var ref *sim.CampaignResult
-		d := measure(minTime, func() {
-			ref = sim.RunCampaign(c, faults, weights, *flagSimN, seed, 0)
-		})
+		d := measure(minTime, func() { ref = run(sim.CampaignConfig{Workers: 1}) })
 		sc.CampaignPatternsPerSec = float64(*flagSimN) / d.Seconds()
-		shards := sim.RunCampaignPatternShards(c, faults, weights, *flagSimN, seed, 0, 4)
-		sc.PatternShardsIdentical = simCampaignsEqual(ref, shards)
-		shared := sim.RunCampaignConfig(c, faults, [][]float64{weights}, seed, sim.CampaignConfig{
-			Patterns: *flagSimN, Workers: 2, GoodMachine: sim.GoodMachineShared,
-		})
-		sc.SharedGoodIdentical = simCampaignsEqual(ref, shared)
+		sc.PatternShardsIdentical = simCampaignsEqual(ref, run(sim.CampaignConfig{PatternShards: 4}))
+		sc.SharedGoodIdentical = simCampaignsEqual(ref, run(sim.CampaignConfig{Workers: 2, GoodMachine: sim.GoodMachineShared}))
 		allIdentical = allIdentical && sc.WideIdentical && sc.PatternShardsIdentical && sc.SharedGoodIdentical
 
 		summary.Circuits = append(summary.Circuits, sc)
 		t.Add(name, fmt.Sprint(sc.Faults), fmt.Sprint(sc.LanesChosen),
-			report.Sci(sc.DetectWordsPerSec), report.Sci(sc.LegacyDetectWordsPerSec),
-			fmt.Sprintf("%s/%s/%s", report.Sci(w1), report.Sci(perW[4]), report.Sci(perW[8])),
-			fmt.Sprintf("%.2fx", sc.Speedup), report.Sci(sc.CampaignPatternsPerSec),
-			fmt.Sprintf("%.0f/%.0f/%.0f/%.0f", sc.AllocsPerDetect, sc.AllocsPerRun,
-				sc.AllocsPerDetectWide, sc.AllocsPerRunWide),
+			report.Sci(sc.DetectWordsPerSec),
+			fmt.Sprintf("%s/%s", report.Sci(perW[4]), report.Sci(perW[8])),
+			report.Sci(sc.CampaignPatternsPerSec),
+			fmt.Sprintf("%.0f/%.0f", sc.AllocsPerDetectWide, sc.AllocsPerRunWide),
 			fmt.Sprint(sc.WideIdentical),
 			fmt.Sprint(sc.PatternShardsIdentical), fmt.Sprint(sc.SharedGoodIdentical))
 	}
-	if n := len(summary.Circuits); n > 0 {
-		summary.AggregateSpeedup = math.Exp(logSpeedups / float64(n))
-	}
 	fmt.Print(t)
-	fmt.Printf("aggregate speedup vs legacy (geomean): %.2fx\n", summary.AggregateSpeedup)
 
 	data, err := json.MarshalIndent(&summary, "", "  ")
 	if err != nil {

@@ -94,7 +94,9 @@ func Example() {
 	}
 
 	faults := optirand.CollapsedFaults(c)
-	res, err := optirand.OptimizeWeights(c, faults, optirand.OptimizeOptions{})
+	r := optirand.NewRunner()
+	defer r.Close()
+	res, err := r.Optimize(context.Background(), optirand.OptimizeSpec{Circuit: c, Faults: faults})
 	if err != nil {
 		panic(err)
 	}
@@ -121,13 +123,21 @@ o = NAND(a, b)
 	// Output: demo 2 1
 }
 
-// ExampleSimulateRandomTest runs a seeded weighted random fault
+// ExampleRunner_Campaign runs a seeded weighted random fault
 // simulation campaign.
-func ExampleSimulateRandomTest() {
+func ExampleRunner_Campaign() {
 	bench, _ := optirand.BenchmarkByName("c432")
 	c := bench.Build()
-	faults := optirand.CollapsedFaults(c)
-	res := optirand.SimulateRandomTest(c, faults, optirand.UniformWeights(c), 5000, 1, 0)
+	r := optirand.NewRunner()
+	defer r.Close()
+	res, err := r.Campaign(context.Background(), optirand.CampaignSpec{
+		Circuit: c, Faults: optirand.CollapsedFaults(c),
+		Source:   optirand.Weights(optirand.UniformWeights(c)),
+		Patterns: 5000, Seed: 1,
+	})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println("coverage above 90%:", res.Coverage() > 0.9)
 	// Output: coverage above 90%: true
 }

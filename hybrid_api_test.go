@@ -103,7 +103,7 @@ func TestHybridWithOptimizedWeightsBeatsUniform(t *testing.T) {
 			live = append(live, f)
 		}
 	}
-	opt, err := optirand.OptimizeWeights(c, live, optirand.OptimizeOptions{})
+	opt, err := runOptimize(c, live, optirand.OptimizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

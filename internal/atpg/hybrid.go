@@ -47,7 +47,8 @@ func TopOff(c *circuit.Circuit, faults []fault.Fault, weights []float64,
 	nRandom int, seed uint64, maxBacktracks int) *HybridResult {
 
 	res := &HybridResult{TotalFaults: len(faults)}
-	camp := sim.RunCampaign(c, faults, weights, nRandom, seed, 0)
+	camp := sim.RunCampaignConfig(c, faults, [][]float64{weights}, seed,
+		sim.CampaignConfig{Patterns: nRandom, Workers: 1})
 	res.RandomPatterns = camp.Patterns
 	res.RandomDetected = camp.Detected
 

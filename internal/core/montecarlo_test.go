@@ -11,8 +11,8 @@ import (
 
 // TestOptimizedWeightsMonteCarloCheck is the optimizer's sampling
 // cross-check on the compiled simulation kernel: the Monte-Carlo
-// estimator (which drives sim.DetectWord for every fault of every
-// batch — the hot path this PR compiled) must deterministically
+// estimator (which drives sim.DetectWords for every fault of every
+// lane group — the campaign hot path) must deterministically
 // reproduce itself and broadly agree with the analytic estimator the
 // optimizer trusts, at the optimized weight vector where the two
 // matter most.

@@ -2,7 +2,7 @@
 // multi-circuit × multi-weighting × multi-seed sweeps fanned out over a
 // bounded worker pool, with a second, nested level of parallelism
 // available inside each campaign (fault-list sharding, see
-// sim.RunCampaignWorkers).
+// sim.CampaignConfig.Workers).
 //
 // Two properties make the engine safe to scale:
 //

@@ -319,9 +319,9 @@ const (
 	// pattern stream. Zero cross-worker state, zero synchronization —
 	// the right default when per-fault cone propagation dominates.
 	GoodMachineReplay GoodMachine = iota
-	// GoodMachineShared runs ONE good simulation per 64-pattern batch
-	// and fans DetectWord out across fault-shard workers against it,
-	// with a barrier per batch. It buys back the duplicated good-machine
+	// GoodMachineShared runs ONE good simulation per lane group and
+	// fans DetectWords out across fault-shard workers against it, with
+	// a barrier per group. It buys back the duplicated good-machine
 	// work of replay mode — a win on fanout-heavy circuits where the
 	// good simulation is not negligible next to the fault cones.
 	GoodMachineShared
@@ -373,10 +373,14 @@ type CampaignConfig struct {
 	GoodMachine GoodMachine
 }
 
-// RunCampaignConfig is the general campaign entry point: weightSets
-// behaves as in RunCampaignMixture (one set = plain weighted stream,
-// several = the §5.3 batch rotation), and cfg selects the scheduling.
-// Every configuration returns bit-identical results.
+// RunCampaignConfig is the weighted-random campaign entry point: it
+// simulates cfg.Patterns patterns against the fault list and reports
+// coverage, dropping detected faults from further simulation.
+// weightSets[s][i] is the probability that primary input i is 1 under
+// set s; one set gives a plain weighted stream, several draw 64-pattern
+// batch b from set b%k (the paper's §5.3 mixture for a partitioned
+// fault set). seed makes the run reproducible, and cfg selects the
+// scheduling: every configuration returns bit-identical results.
 func RunCampaignConfig(c *circuit.Circuit, faults []fault.Fault, weightSets [][]float64,
 	seed uint64, cfg CampaignConfig) *CampaignResult {
 
@@ -401,8 +405,8 @@ func RunCampaignConfig(c *circuit.Circuit, faults []fault.Fault, weightSets [][]
 }
 
 // runCampaignShared is the shared-good-machine campaign: one good
-// simulation per batch, DetectWord fanned out over fault-shard
-// workers, a barrier per batch. firstDetected entries are written by
+// simulation per lane group, DetectWords fanned out over fault-shard
+// workers, a barrier per group. firstDetected entries are written by
 // exactly one worker each (shards partition the fault list), and the
 // pattern stream is generated once instead of once per worker.
 func runCampaignShared(c *circuit.Circuit, faults []fault.Fault, newGen func() batchGen,
@@ -626,21 +630,6 @@ func runCampaignPatternShards(c *circuit.Circuit, faults []fault.Fault, newGen f
 	return assembleResult(len(faults), nPatterns, curveStep, firstDetected)
 }
 
-// RunCampaignPatternShards is RunCampaign with the PATTERN stream
-// sharded into contiguous batch ranges instead of the fault list —
-// the right cut for small-fault/large-pattern workloads. Each of the
-// shards goroutines replays the seeded stream to its range and
-// simulates every fault over it; per-fault first detections merge as
-// the minimum across ranges, with a detected-index handshake so a
-// fault settled by an earlier range is dropped by later ones. The
-// result is bit-identical to the serial campaign for every shard
-// count.
-func RunCampaignPatternShards(c *circuit.Circuit, faults []fault.Fault, weights []float64,
-	nPatterns int, seed uint64, curveStep, shards int) *CampaignResult {
-
-	return runCampaignPatternShards(c, faults, weightedGen(weights, seed), nPatterns, curveStep, shards)
-}
-
 // weightedGen returns a batchGen factory replaying the weighted random
 // stream of seed: batch b of every generator returned carries the same
 // 64 patterns.
@@ -659,35 +648,13 @@ func mixtureGen(weightSets [][]float64, seed uint64) func() batchGen {
 	}
 }
 
-// RunCampaign simulates nPatterns weighted random patterns against the
-// fault list and reports coverage. weights[i] is the probability that
-// primary input i is 1 in each pattern; seed makes the run reproducible.
-// Detected faults are dropped from further simulation. curveStep > 0
-// requests a coverage sample roughly every curveStep patterns (rounded
-// up to 64-pattern batches); curveStep == 0 records only the final
-// point.
-func RunCampaign(c *circuit.Circuit, faults []fault.Fault, weights []float64,
-	nPatterns int, seed uint64, curveStep int) *CampaignResult {
-
-	return runCampaign(c, faults, weightedGen(weights, seed), nPatterns, curveStep, 1)
-}
-
-// RunCampaignWorkers is RunCampaign with the fault list sharded across
-// a pool of workers goroutines (<= 0 selects GOMAXPROCS). Every worker
-// replays the identical pattern stream from seed against its shard, so
-// the result — coverage, FirstDetected, curve — is bit-identical to the
-// serial campaign for every worker count.
-func RunCampaignWorkers(c *circuit.Circuit, faults []fault.Fault, weights []float64,
-	nPatterns int, seed uint64, curveStep, workers int) *CampaignResult {
-
-	return runCampaign(c, faults, weightedGen(weights, seed), nPatterns, curveStep, workers)
-}
-
-// RunCampaignSource is RunCampaign with an external pattern source:
+// RunCampaignSource runs a campaign on an external pattern source:
 // next is called once per 64-pattern batch and must fill one word per
-// primary input. It serves hardware-model sources (weighted LFSRs) and
-// replayed pattern sets. The source is a single stateful stream, so
-// this variant always runs serially.
+// primary input. curveStep > 0 requests a coverage sample roughly
+// every curveStep patterns (rounded up to 64-pattern batches). It
+// serves hardware-model sources (weighted LFSRs) and replayed pattern
+// sets. The source is a single stateful stream, so this variant always
+// runs serially.
 func RunCampaignSource(c *circuit.Circuit, faults []fault.Fault, next func(dst []uint64),
 	nPatterns int, curveStep int) *CampaignResult {
 
@@ -695,33 +662,6 @@ func RunCampaignSource(c *circuit.Circuit, faults []fault.Fault, next func(dst [
 		return func(_ int, dst []uint64) { next(dst) }
 	}
 	return runCampaign(c, faults, newGen, nPatterns, curveStep, 1)
-}
-
-// RunCampaignMixture is RunCampaign drawing each 64-pattern batch from
-// the weight sets in rotation — the application mode of the paper §5.3
-// extension where a partitioned fault set gets one distribution per
-// part. weightSets must be non-empty and each set must cover all
-// primary inputs.
-func RunCampaignMixture(c *circuit.Circuit, faults []fault.Fault, weightSets [][]float64,
-	nPatterns int, seed uint64, curveStep int) *CampaignResult {
-
-	return RunCampaignMixtureWorkers(c, faults, weightSets, nPatterns, seed, curveStep, 1)
-}
-
-// RunCampaignMixtureWorkers is RunCampaignMixture with the fault list
-// sharded across workers goroutines (<= 0 selects GOMAXPROCS); results
-// are bit-identical to the serial mixture campaign.
-func RunCampaignMixtureWorkers(c *circuit.Circuit, faults []fault.Fault, weightSets [][]float64,
-	nPatterns int, seed uint64, curveStep, workers int) *CampaignResult {
-
-	if len(weightSets) == 0 {
-		panic("sim: RunCampaignMixture: no weight sets")
-	}
-	if len(weightSets) == 1 {
-		return runCampaign(c, faults, weightedGen(weightSets[0], seed), nPatterns, curveStep, workers)
-	}
-	res := runCampaign(c, faults, mixtureGen(weightSets, seed), nPatterns, curveStep, workers)
-	return attributeMixture(res, len(weightSets))
 }
 
 // EstimateDetectProbs estimates the detection probability of each fault
@@ -780,45 +720,51 @@ func ExactDetectProbs(c *circuit.Circuit, faults []fault.Fault, weights []float6
 	}
 	s := NewSimulator(c)
 	fs := NewFaultSimulator(s)
+	lanes := s.Lanes()
 	probs := make([]float64, len(faults))
 	in := make([]uint64, n)
+	var det [8]uint64
 
+	// Pattern v is the input assignment whose bit i is input i; batch
+	// b holds patterns 64b..64b+63, one per bit, and a lane group holds
+	// up to W consecutive batches. Bits past the last pattern are
+	// never counted.
 	total := 1 << uint(n)
-	// Enumerate patterns in batches of 64 using the low 6 bits as the
-	// in-word pattern index.
-	for base := 0; base < total; base += 64 {
-		batch := total - base
-		if batch > 64 {
-			batch = 64
-		}
-		for i := 0; i < n; i++ {
-			var w uint64
-			for k := 0; k < batch; k++ {
-				v := base + k
-				if v>>uint(i)&1 == 1 {
-					w |= 1 << uint(k)
-				}
-			}
-			in[i] = w
-		}
-		s.SetInputs(in)
-		s.Run()
-		for fi, f := range faults {
-			det := fs.DetectWord(f)
-			for k := 0; k < batch; k++ {
-				if det>>uint(k)&1 == 0 {
-					continue
-				}
-				v := base + k
-				pr := 1.0
-				for i := 0; i < n; i++ {
-					if v>>uint(i)&1 == 1 {
-						pr *= weights[i]
-					} else {
-						pr *= 1 - weights[i]
+	nBatches := (total + 63) / 64
+	for b0 := 0; b0 < nBatches; b0 += lanes {
+		m := min(lanes, nBatches-b0)
+		for l := 0; l < m; l++ {
+			base := (b0 + l) * 64
+			for i := range in {
+				var w uint64
+				for k := 0; k < 64 && base+k < total; k++ {
+					if (base+k)>>uint(i)&1 == 1 {
+						w |= 1 << uint(k)
 					}
 				}
-				probs[fi] += pr
+				in[i] = w
+			}
+			s.SetInputsLane(l, in)
+		}
+		s.RunWide()
+		for fi, f := range faults {
+			fs.DetectWords(f, det[:lanes])
+			for l := 0; l < m; l++ {
+				for d := det[l]; d != 0; d &= d - 1 {
+					v := (b0+l)*64 + bits.TrailingZeros64(d)
+					if v >= total {
+						break
+					}
+					pr := 1.0
+					for i := 0; i < n; i++ {
+						if v>>uint(i)&1 == 1 {
+							pr *= weights[i]
+						} else {
+							pr *= 1 - weights[i]
+						}
+					}
+					probs[fi] += pr
+				}
 			}
 		}
 	}

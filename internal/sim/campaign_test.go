@@ -18,20 +18,31 @@ func campaignCircuit(t *testing.T) *circuit.Circuit {
 	return c
 }
 
-// TestMixtureSingleSetEqualsPlainCampaign: a one-set mixture must be
-// byte-identical to RunCampaign.
+// TestMixtureSingleSetEqualsPlainCampaign: a plain one-set campaign and
+// a two-slot rotation of that same set draw identical patterns, so
+// they must agree on every detection; only the rotation attributes its
+// curve points to weight sets.
 func TestMixtureSingleSetEqualsPlainCampaign(t *testing.T) {
 	c := campaignCircuit(t)
 	u := fault.New(c)
 	w := []float64{0.5, 0.5, 0.5, 0.5, 0.5}
-	a := RunCampaign(c, u.Reps, w, 500, 3, 128)
-	b := RunCampaignMixture(c, u.Reps, [][]float64{w}, 500, 3, 128)
-	if a.Detected != b.Detected || a.Patterns != b.Patterns {
-		t.Fatalf("single-set mixture differs: %+v vs %+v", a, b)
+	cfg := CampaignConfig{Patterns: 500, CurveStep: 128, Workers: 1}
+	a := RunCampaignConfig(c, u.Reps, [][]float64{w}, 3, cfg)
+	b := RunCampaignConfig(c, u.Reps, [][]float64{w, w}, 3, cfg)
+	if a.Detected != b.Detected || a.Patterns != b.Patterns || len(a.Curve) != len(b.Curve) {
+		t.Fatalf("single-set campaign differs from its rotation: %+v vs %+v", a, b)
 	}
 	for i := range a.FirstDetected {
 		if a.FirstDetected[i] != b.FirstDetected[i] {
 			t.Fatalf("FirstDetected differs at %d", i)
+		}
+	}
+	for i, p := range a.Curve {
+		if p.WeightSet != 0 {
+			t.Errorf("single-set curve point %d attributed to weight set %d", i, p.WeightSet)
+		}
+		if q := b.Curve[i]; q.Patterns != p.Patterns || q.Detected != p.Detected {
+			t.Errorf("curve point %d differs: %+v vs %+v", i, p, q)
 		}
 	}
 }
@@ -42,8 +53,8 @@ func TestMixtureIdenticalSetsEqualsPlain(t *testing.T) {
 	c := campaignCircuit(t)
 	u := fault.New(c)
 	w := []float64{0.5, 0.5, 0.5, 0.5, 0.5}
-	a := RunCampaign(c, u.Reps, w, 512, 7, 0)
-	b := RunCampaignMixture(c, u.Reps, [][]float64{w, w, w}, 512, 7, 0)
+	a := runWeighted(c, u.Reps, w, 512, 7, 0, serial)
+	b := RunCampaignConfig(c, u.Reps, [][]float64{w, w, w}, 7, CampaignConfig{Patterns: 512, Workers: 1})
 	if a.Detected != b.Detected {
 		t.Fatalf("identical-set mixture differs: %d vs %d detected", a.Detected, b.Detected)
 	}
@@ -57,27 +68,27 @@ func TestMixturePanicsOnEmpty(t *testing.T) {
 			t.Error("empty weight-set list did not panic")
 		}
 	}()
-	RunCampaignMixture(c, u.Reps, nil, 100, 1, 0)
+	RunCampaignConfig(c, u.Reps, nil, 1, CampaignConfig{Patterns: 100, Workers: 1})
 }
 
 func TestMixtureZeroPatterns(t *testing.T) {
 	c := campaignCircuit(t)
 	u := fault.New(c)
 	w := []float64{0.5, 0.5, 0.5, 0.5, 0.5}
-	res := RunCampaignMixture(c, u.Reps, [][]float64{w, w}, 0, 1, 0)
+	res := RunCampaignConfig(c, u.Reps, [][]float64{w, w}, 1, CampaignConfig{Patterns: 0, Workers: 1})
 	if res.Detected != 0 || len(res.Curve) != 1 {
 		t.Errorf("zero-pattern mixture: %+v", res)
 	}
 }
 
 // TestSourceCampaignMatchesPRNG: RunCampaignSource fed by the same
-// word stream as RunCampaign must produce identical results.
+// word stream as a weighted campaign must produce identical results.
 func TestSourceCampaignMatchesPRNG(t *testing.T) {
 	c := campaignCircuit(t)
 	u := fault.New(c)
 	w := []float64{0.5, 0.5, 0.5, 0.5, 0.5}
 	const n = 700
-	a := RunCampaign(c, u.Reps, w, n, 11, 64)
+	a := runWeighted(c, u.Reps, w, n, 11, 64, serial)
 	rng := prng.New(11)
 	b := RunCampaignSource(c, u.Reps, func(dst []uint64) {
 		rng.WeightedWords(dst, w)
@@ -117,7 +128,7 @@ func TestCampaignPartialBatch(t *testing.T) {
 	u := fault.New(c)
 	w := []float64{0.5, 0.5, 0.5, 0.5, 0.5}
 	for _, n := range []int{1, 3, 63, 65, 100} {
-		res := RunCampaign(c, u.Reps, w, n, 5, 0)
+		res := runWeighted(c, u.Reps, w, n, 5, 0, serial)
 		if res.Patterns != n {
 			t.Errorf("n=%d: Patterns=%d", n, res.Patterns)
 		}
@@ -136,7 +147,7 @@ func TestCampaignFirstDetectedConsistent(t *testing.T) {
 	u := fault.New(c)
 	w := []float64{0.3, 0.7, 0.5, 0.4, 0.6}
 	const n = 512
-	res := RunCampaign(c, u.Reps, w, n, 21, 0)
+	res := runWeighted(c, u.Reps, w, n, 21, 0, serial)
 	// Regenerate the same pattern stream.
 	rng := prng.New(21)
 	words := make([][]uint64, 0)

@@ -10,15 +10,16 @@ import (
 // This file is the compiled circuit representation behind the
 // simulation kernels: the gate graph is flattened once per circuit
 // into CSR-packed fanin/fanout arrays, a levelized evaluation order,
-// and per-gate opcodes, so the hot loops of Simulator.Run and
-// FaultSimulator.DetectWord touch nothing but flat slices — no
+// and per-gate opcodes, so the hot loops of Simulator.RunWide and
+// FaultSimulator.DetectWords touch nothing but flat slices — no
 // per-gate method lookups, closures, or pointer-chasing through Gate
 // structs, and no steady-state allocations.
 
 // Opcode bases. Together with a per-gate 64-bit inversion mask they
 // are the package's single gate-evaluation truth source: every
 // word-parallel evaluation — good machine, faulty machine, forced-pin
-// fault activation — reduces to evalGate over one of these bases.
+// fault activation — reduces to evalGate (or its per-lane form,
+// evalLanes4/8) over one of these bases.
 // Inverting types fold into the mask (NAND = opAnd + inverted output,
 // NOT = opBuf + inverted, CONST1 = opConst + inverted), and the
 // dominant two-input shape of each n-ary function gets a fused opcode
@@ -72,10 +73,9 @@ func opcode(t circuit.GateType, nFanin int) (op uint8, inv uint64) {
 
 // evalGate computes a gate function over the 64-pattern words that
 // fanin indexes into val. It is the single evaluation truth source of
-// the package (see the opcode constants): the good machine passes its
-// value array, the faulty machine its mirrored overlay, and forced-pin
-// activation an identity-indexed gather — one switch owns the boolean
-// semantics for all three.
+// the package (see the opcode constants): the single-word good machine
+// calls it directly, and the lane evaluators of the fault kernel are
+// tested against it per lane and per opcode.
 // The fused straight-line opcodes live here so the whole function
 // stays within the compiler's inlining budget — the n-ary reductions
 // (loops disqualify a function from inlining) are delegated to
@@ -195,7 +195,7 @@ type Compiled struct {
 	// wide gate visit evaluates lanes 64-pattern words, laid out as
 	// contiguous [W]uint64 groups in flat slices (gate g's words at
 	// [g*W, (g+1)*W)). Chosen by chooseLanes from the circuit shape;
-	// the narrow kernels are the W=1 degenerate case and ignore it.
+	// the single-word good machine (Simulator.Run) ignores it.
 	lanes int
 
 	// CSR fanin values: gate g reads

@@ -9,72 +9,30 @@ import (
 	"optirand/internal/prng"
 )
 
-// applyBatch drives one 64-pattern batch through both kernels.
-func applyBatch(s *Simulator, lk *LegacyKernel, words []uint64) {
-	s.SetInputs(words)
-	s.Run()
-	lk.SetInputs(words)
-	lk.Run()
-}
-
-// TestCompiledMatchesLegacy is the differential suite: on every
-// generated benchmark circuit, the compiled kernel's good-machine
-// values and per-fault detection masks must equal the frozen pre-PR
-// kernel's, over the full uncollapsed fault universe.
-func TestCompiledMatchesLegacy(t *testing.T) {
+// TestCompiledMatchesReference is the differential suite on every
+// generated benchmark circuit: the wide kernel's good-machine lanes and
+// per-fault detection masks must agree with the scalar reference
+// semantics (reference.go) on a stride sample of the fault universe and
+// of the pattern bits, at every width. The full universes are pinned by
+// TestGoldenDigests.
+func TestCompiledMatchesReference(t *testing.T) {
 	for _, b := range gen.Benchmarks() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
 			c := b.Build()
-			u := fault.New(c)
-			s := NewSimulator(c)
-			lk := NewLegacyKernel(c)
-			rng := prng.New(2026)
-			words := make([]uint64, c.NumInputs())
-			for trial := 0; trial < 2; trial++ {
-				for i := range words {
-					words[i] = rng.Uint64()
-				}
-				applyBatch(s, lk, words)
-				for g := 0; g < c.NumGates(); g++ {
-					if s.Value(g) != lk.Value(g) {
-						t.Fatalf("good machine diverges at gate %d: compiled %x legacy %x",
-							g, s.Value(g), lk.Value(g))
-					}
-				}
-				fs := NewFaultSimulator(s)
-				for _, f := range u.All {
-					if got, want := fs.DetectWord(f), lk.DetectWord(f); got != want {
-						t.Fatalf("fault %v: compiled mask %x, legacy mask %x", f.Describe(c), got, want)
-					}
-				}
-			}
+			checkWideReference(t, c, someFaults(fault.New(c).All, 64), 2026, 8, 16)
 		})
 	}
 }
 
-// TestCompiledMatchesLegacyRandom repeats the differential check on
+// TestCompiledMatchesReferenceRandom repeats the differential check on
 // random circuits (odd fanins, dangling gates, XOR trees) that the
-// curated benchmarks do not cover.
-func TestCompiledMatchesLegacyRandom(t *testing.T) {
+// curated benchmarks do not cover, over the full fault universe.
+func TestCompiledMatchesReferenceRandom(t *testing.T) {
 	for seed := uint64(0); seed < 12; seed++ {
 		c := randomCircuit(seed, 6, 40)
-		u := fault.New(c)
-		s := NewSimulator(c)
-		fs := NewFaultSimulator(s)
-		lk := NewLegacyKernel(c)
-		rng := prng.New(seed * 31)
-		words := make([]uint64, c.NumInputs())
-		for i := range words {
-			words[i] = rng.Uint64()
-		}
-		applyBatch(s, lk, words)
-		for _, f := range u.All {
-			if got, want := fs.DetectWord(f), lk.DetectWord(f); got != want {
-				t.Fatalf("seed %d fault %v: compiled %x legacy %x", seed, f.Describe(c), got, want)
-			}
-		}
+		checkWideReference(t, c, fault.New(c).All, seed*31, 8, 16)
 	}
 }
 
@@ -99,38 +57,47 @@ func TestCompiledCacheShared(t *testing.T) {
 	}
 }
 
-// TestDetectWordZeroAllocs pins the steady-state allocation contract:
-// after a warm-up pass over the fault list, neither the good-machine
-// Run nor DetectWord may allocate.
+// TestDetectWordZeroAllocs pins the steady-state allocation contract
+// of the single-word good machine and of the fault kernel at both
+// forced widths: after a warm-up pass over the fault list, neither Run
+// nor a DetectWords pass may allocate.
 func TestDetectWordZeroAllocs(t *testing.T) {
 	b, _ := gen.ByName("c880")
 	c := b.Build()
 	faults := fault.New(c).Reps
-	s := NewSimulator(c)
-	fs := NewFaultSimulator(s)
 	rng := prng.New(7)
 	words := make([]uint64, c.NumInputs())
 	for i := range words {
 		words[i] = rng.Uint64()
 	}
+	s := NewSimulator(c)
 	s.SetInputs(words)
 	s.Run()
-	for _, f := range faults { // warm the worklist buckets
-		fs.DetectWord(f)
-	}
-
 	if n := testing.AllocsPerRun(50, func() {
 		s.SetInputs(words)
 		s.Run()
 	}); n != 0 {
 		t.Errorf("Simulator.Run allocates %.1f times per run, want 0", n)
 	}
-	if n := testing.AllocsPerRun(50, func() {
-		for _, f := range faults {
-			fs.DetectWord(f)
+
+	for _, lanes := range []int{4, 8} {
+		s := NewSimulatorLanes(c, lanes)
+		fs := NewFaultSimulator(s)
+		for l := 0; l < lanes; l++ {
+			s.SetInputsLane(l, words)
 		}
-	}); n != 0 {
-		t.Errorf("DetectWord allocates %.1f times per fault-list pass, want 0", n)
+		s.RunWide()
+		var det [8]uint64
+		for _, f := range faults { // warm the worklist and the mirror
+			fs.DetectWords(f, det[:])
+		}
+		if n := testing.AllocsPerRun(50, func() {
+			for _, f := range faults {
+				fs.DetectWords(f, det[:])
+			}
+		}); n != 0 {
+			t.Errorf("w=%d: DetectWords allocates %.1f times per fault-list pass, want 0", lanes, n)
+		}
 	}
 }
 
@@ -180,48 +147,7 @@ func BenchmarkDetectWords(b *testing.B) {
 	}
 }
 
-// BenchmarkDetectWord measures the compiled detection kernel: one
-// iteration is a full fault-list pass against a fixed batch.
-func BenchmarkDetectWord(b *testing.B) {
-	for _, name := range []string{"c880", "c2670", "c6288", "c499", "c1355"} {
-		b.Run(name, func(b *testing.B) {
-			c, faults, words := kernelBenchSetup(b, name)
-			s := NewSimulator(c)
-			fs := NewFaultSimulator(s)
-			s.SetInputs(words)
-			s.Run()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, f := range faults {
-					fs.DetectWord(f)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkDetectWordLegacy is the identical measurement on the
-// frozen pre-PR kernel — the old-vs-new comparison of BENCH_sim.
-func BenchmarkDetectWordLegacy(b *testing.B) {
-	for _, name := range []string{"c880", "c2670", "c6288"} {
-		b.Run(name, func(b *testing.B) {
-			c, faults, words := kernelBenchSetup(b, name)
-			lk := NewLegacyKernel(c)
-			lk.SetInputs(words)
-			lk.Run()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, f := range faults {
-					lk.DetectWord(f)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkGoodRun measures the compiled good-machine evaluation.
+// BenchmarkGoodRun measures the compiled single-word good machine.
 func BenchmarkGoodRun(b *testing.B) {
 	c, _, words := kernelBenchSetup(b, "c6288")
 	s := NewSimulator(c)
@@ -230,17 +156,5 @@ func BenchmarkGoodRun(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Run()
-	}
-}
-
-// BenchmarkGoodRunLegacy measures the pre-PR good-machine evaluation.
-func BenchmarkGoodRunLegacy(b *testing.B) {
-	c, _, words := kernelBenchSetup(b, "c6288")
-	lk := NewLegacyKernel(c)
-	lk.SetInputs(words)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lk.Run()
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"optirand/internal/circuit"
 	"optirand/internal/fault"
 	"optirand/internal/gen"
 )
@@ -14,6 +15,20 @@ import (
 // machine would pick by default.
 func workerCounts() []int {
 	return []int{1, 2, 7, runtime.GOMAXPROCS(0)}
+}
+
+// serial is the reference scheduling every equivalence test compares
+// against: one worker, no pattern shards.
+var serial = CampaignConfig{Workers: 1}
+
+// runWeighted is RunCampaignConfig on a single weight set, with the
+// budget and curve step given positionally and cfg carrying only the
+// scheduling.
+func runWeighted(c *circuit.Circuit, faults []fault.Fault, weights []float64,
+	nPatterns int, seed uint64, curveStep int, cfg CampaignConfig) *CampaignResult {
+
+	cfg.Patterns, cfg.CurveStep = nPatterns, curveStep
+	return RunCampaignConfig(c, faults, [][]float64{weights}, seed, cfg)
 }
 
 // equalCampaigns fails the test unless a and b are identical in every
@@ -44,9 +59,9 @@ func TestRunCampaignWorkersEquivalence(t *testing.T) {
 			for i := range weights {
 				weights[i] = 0.5
 			}
-			ref := RunCampaign(c, faults, weights, nPatterns, seed, curveStep)
+			ref := runWeighted(c, faults, weights, nPatterns, seed, curveStep, serial)
 			for _, w := range workerCounts() {
-				got := RunCampaignWorkers(c, faults, weights, nPatterns, seed, curveStep, w)
+				got := runWeighted(c, faults, weights, nPatterns, seed, curveStep, CampaignConfig{Workers: w})
 				equalCampaigns(t, b.Name, ref, got)
 				if t.Failed() {
 					t.Fatalf("workers=%d diverged from serial", w)
@@ -71,9 +86,9 @@ func TestRunCampaignWorkersSkewedWeights(t *testing.T) {
 		for i := range weights {
 			weights[i] = 0.05 + 0.9*float64(i%8)/7
 		}
-		ref := RunCampaign(c, faults, weights, 1500, 7, 128)
+		ref := runWeighted(c, faults, weights, 1500, 7, 128, serial)
 		for _, w := range workerCounts() {
-			got := RunCampaignWorkers(c, faults, weights, 1500, 7, 128, w)
+			got := runWeighted(c, faults, weights, 1500, 7, 128, CampaignConfig{Workers: w})
 			equalCampaigns(t, name, ref, got)
 		}
 	}
@@ -94,9 +109,9 @@ func TestRunCampaignMixtureWorkersEquivalence(t *testing.T) {
 		return w
 	}
 	sets := [][]float64{mkWeights(0.5), mkWeights(0.8), mkWeights(0.2)}
-	ref := RunCampaignMixture(c, faults, sets, 2000, 11, 256)
+	ref := RunCampaignConfig(c, faults, sets, 11, CampaignConfig{Patterns: 2000, CurveStep: 256, Workers: 1})
 	for _, w := range workerCounts() {
-		got := RunCampaignMixtureWorkers(c, faults, sets, 2000, 11, 256, w)
+		got := RunCampaignConfig(c, faults, sets, 11, CampaignConfig{Patterns: 2000, CurveStep: 256, Workers: w})
 		equalCampaigns(t, "s1-mixture", ref, got)
 	}
 }
@@ -115,7 +130,7 @@ func TestRunCampaignWorkersRepeatable(t *testing.T) {
 	}
 	var ref *CampaignResult
 	for rep := 0; rep < 3; rep++ {
-		got := RunCampaignWorkers(c, faults, weights, 640, 42, 100, 4)
+		got := runWeighted(c, faults, weights, 640, 42, 100, CampaignConfig{Workers: 4})
 		if ref == nil {
 			ref = got
 			continue
@@ -148,9 +163,9 @@ func TestRunCampaignWorkersEdgeCases(t *testing.T) {
 		{"odd-budget", faults, 77},
 	}
 	for _, tc := range cases {
-		ref := RunCampaign(c, tc.faults, weights, tc.patterns, 3, 10)
+		ref := runWeighted(c, tc.faults, weights, tc.patterns, 3, 10, serial)
 		for _, w := range []int{1, 2, 7, 64} {
-			got := RunCampaignWorkers(c, tc.faults, weights, tc.patterns, 3, 10, w)
+			got := runWeighted(c, tc.faults, weights, tc.patterns, 3, 10, CampaignConfig{Workers: w})
 			equalCampaigns(t, tc.name, ref, got)
 		}
 	}

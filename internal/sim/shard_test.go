@@ -39,9 +39,9 @@ func TestRunCampaignPatternShardsEquivalence(t *testing.T) {
 			c := b.Build()
 			faults := fault.New(c).Reps
 			weights := uniformWeights(c.NumInputs())
-			ref := RunCampaign(c, faults, weights, nPatterns, seed, curveStep)
+			ref := runWeighted(c, faults, weights, nPatterns, seed, curveStep, serial)
 			for _, sh := range shardCounts() {
-				got := RunCampaignPatternShards(c, faults, weights, nPatterns, seed, curveStep, sh)
+				got := runWeighted(c, faults, weights, nPatterns, seed, curveStep, CampaignConfig{Workers: 1, PatternShards: sh})
 				equalCampaigns(t, b.Name, ref, got)
 				if t.Failed() {
 					t.Fatalf("shards=%d diverged from serial", sh)
@@ -61,9 +61,9 @@ func TestPatternShardsPartialFinalBatch(t *testing.T) {
 	faults := fault.New(c).Reps
 	weights := uniformWeights(c.NumInputs())
 	for _, n := range []int{77, 130, 63, 64, 65, 1} {
-		ref := RunCampaign(c, faults, weights, n, 11, 10)
+		ref := runWeighted(c, faults, weights, n, 11, 10, serial)
 		for _, sh := range []int{2, 3, 7} {
-			got := RunCampaignPatternShards(c, faults, weights, n, 11, 10, sh)
+			got := runWeighted(c, faults, weights, n, 11, 10, CampaignConfig{Workers: 1, PatternShards: sh})
 			equalCampaigns(t, "partial-batch", ref, got)
 			if t.Failed() {
 				t.Fatalf("n=%d shards=%d diverged", n, sh)
@@ -79,8 +79,8 @@ func TestPatternShardsMoreShardsThanBatches(t *testing.T) {
 	c := b.Build()
 	faults := fault.New(c).Reps
 	weights := uniformWeights(c.NumInputs())
-	ref := RunCampaign(c, faults, weights, 100, 5, 0) // 2 batches
-	got := RunCampaignPatternShards(c, faults, weights, 100, 5, 0, 7)
+	ref := runWeighted(c, faults, weights, 100, 5, 0, serial) // 2 batches
+	got := runWeighted(c, faults, weights, 100, 5, 0, CampaignConfig{Workers: 1, PatternShards: 7})
 	equalCampaigns(t, "clamped-shards", ref, got)
 }
 
@@ -102,9 +102,9 @@ func TestPatternShardsEdgeCases(t *testing.T) {
 		{"tiny-fault-list", faults[:2], 200},
 	}
 	for _, tc := range cases {
-		ref := RunCampaign(c, tc.faults, weights, tc.patterns, 3, 10)
+		ref := runWeighted(c, tc.faults, weights, tc.patterns, 3, 10, serial)
 		for _, sh := range []int{2, 5} {
-			got := RunCampaignPatternShards(c, tc.faults, weights, tc.patterns, 3, 10, sh)
+			got := runWeighted(c, tc.faults, weights, tc.patterns, 3, 10, CampaignConfig{Workers: 1, PatternShards: sh})
 			equalCampaigns(t, tc.name, ref, got)
 		}
 	}
@@ -121,16 +121,16 @@ func TestPatternShardsDroppingAcrossRanges(t *testing.T) {
 	faults := fault.New(c).Reps
 	weights := uniformWeights(c.NumInputs())
 	const n = 4096
-	ref := RunCampaign(c, faults, weights, n, 7, 512)
+	ref := runWeighted(c, faults, weights, n, 7, 512, serial)
 	for _, sh := range []int{2, 4, 16} {
-		got := RunCampaignPatternShards(c, faults, weights, n, 7, 512, sh)
+		got := runWeighted(c, faults, weights, n, 7, 512, CampaignConfig{Workers: 1, PatternShards: sh})
 		equalCampaigns(t, "drop-handshake", ref, got)
 	}
 }
 
 // TestSharedGoodMachineEquivalence asserts the shared-good-machine
-// mode (one good simulation per batch, DetectWord fanned out over
-// fault shards with a per-batch barrier) is bit-identical to the
+// mode (one good simulation per lane group, DetectWords fanned out
+// over fault shards with a per-group barrier) is bit-identical to the
 // serial campaign, including with mixtures and for the Auto pick.
 func TestSharedGoodMachineEquivalence(t *testing.T) {
 	for _, name := range []string{"s1", "c880", "c2670"} {
@@ -141,7 +141,7 @@ func TestSharedGoodMachineEquivalence(t *testing.T) {
 		c := b.Build()
 		faults := fault.New(c).Reps
 		weights := uniformWeights(c.NumInputs())
-		ref := RunCampaign(c, faults, weights, 960, 1987, 200)
+		ref := runWeighted(c, faults, weights, 960, 1987, 200, serial)
 		for _, w := range []int{2, 3, 7} {
 			for _, mode := range []GoodMachine{GoodMachineShared, GoodMachineAuto} {
 				got := RunCampaignConfig(c, faults, [][]float64{weights}, 1987, CampaignConfig{
@@ -168,7 +168,7 @@ func TestSharedGoodMachineEquivalence(t *testing.T) {
 		return w
 	}
 	sets := [][]float64{mk(0.5), mk(0.8), mk(0.2)}
-	ref := RunCampaignMixture(c, faults, sets, 2000, 11, 256)
+	ref := RunCampaignConfig(c, faults, sets, 11, CampaignConfig{Patterns: 2000, CurveStep: 256, Workers: 1})
 	got := RunCampaignConfig(c, faults, sets, 11, CampaignConfig{
 		Patterns: 2000, CurveStep: 256, Workers: 4, GoodMachine: GoodMachineShared,
 	})
@@ -182,7 +182,7 @@ func TestRunCampaignConfigMatrix(t *testing.T) {
 	c := b.Build()
 	faults := fault.New(c).Reps
 	weights := uniformWeights(c.NumInputs())
-	ref := RunCampaign(c, faults, weights, 500, 3, 100)
+	ref := runWeighted(c, faults, weights, 500, 3, 100, serial)
 	for _, cfg := range []CampaignConfig{
 		{Workers: 1},
 		{Workers: 4},

@@ -1,6 +1,6 @@
-// Package sim provides 64-way bit-parallel logic simulation and
-// event-driven stuck-at fault simulation (parallel-pattern single-fault
-// propagation, PPSF, with fault dropping).
+// Package sim provides bit-parallel logic simulation and event-driven
+// stuck-at fault simulation (parallel-pattern single-fault propagation,
+// PPSF, with fault dropping).
 //
 // One simulator word carries 64 independent input patterns; bit k of
 // every signal word belongs to pattern k. The fault simulator reuses the
@@ -8,30 +8,30 @@
 // fault, which keeps per-fault cost proportional to the disturbed region
 // rather than the whole circuit.
 //
-// Both kernels run on a compiled circuit representation (see
+// Everything runs on a compiled circuit representation (see
 // compiled.go): CSR-packed fanin/fanout arrays, a levelized order, and
 // per-gate opcodes, built once per circuit structure and shared by
 // every simulator of that circuit. The hot loops are flat — no
 // closures, no per-event method lookups — and allocation-free in
-// steady state; compiled_test.go pins both properties.
+// steady state; the zero-allocation tests pin both properties.
 //
-// On top of the single-word kernels here, wide.go batches W=4/8 words
-// per gate visit (RunWide/DetectWords) so one opcode dispatch, one CSR
-// walk, and one worklist drain amortize across W pattern batches; the
-// campaign loops run on the wide entry points, and this file's
-// single-word paths remain as the W=1 degenerate case and the
-// differential anchor. Both widths share two propagation shortcuts
-// compiled into the gate flags: diff-word propagation through linear
-// (parity-transparent) gates, which composes toggle masks instead of
-// gathering fanins, and the flagSureOut dominator cut, which ends a
-// sole-live-difference chase as soon as its detection is decided.
+// There is one fault-simulation kernel, in wide.go: it batches W=4/8
+// words per gate visit (RunWide/DetectWords) so one opcode dispatch,
+// one CSR walk, and one worklist drain amortize across W pattern
+// batches, and every campaign in campaign.go runs on it. Two
+// propagation shortcuts are compiled into the gate flags: diff-word
+// propagation through linear (parity-transparent) gates, which
+// composes toggle masks instead of gathering fanins, and the
+// flagSureOut dominator cut, which ends a sole-live-difference chase
+// as soon as its detection is decided. This file keeps the single-word
+// good machine (Run/Value), which the STAFAN estimator reads. The
+// scalar reference.go is the ground truth both are tested against.
 package sim
 
 import (
 	"fmt"
 
 	"optirand/internal/circuit"
-	"optirand/internal/fault"
 )
 
 // Simulator evaluates the fault-free ("good") machine for 64 patterns at
@@ -40,11 +40,8 @@ type Simulator struct {
 	c   *circuit.Circuit
 	cc  *Compiled
 	val []uint64
-	// runGen counts completed Run calls. Fault simulators use it to
-	// refresh their faulty-value mirrors lazily, once per batch.
-	runGen uint64
 	// wide holds the W-lane good-machine state (see wide.go), allocated
-	// on first wide use so narrow-only users never pay for it.
+	// on first wide use so single-word users (STAFAN) never pay for it.
 	wide *simWide
 }
 
@@ -109,7 +106,6 @@ func (s *Simulator) Run() {
 		nd := &nodes[g]
 		val[g] = evalGate(nd.op, nd.inv, cc.fanin[nd.faninAt:nd.faninAt+int32(nd.faninN)], val)
 	}
-	s.runGen++
 }
 
 // Value returns the 64-pattern word currently on gate g's output.
@@ -119,23 +115,25 @@ func (s *Simulator) Value(g int) uint64 { return s.val[g] }
 func (s *Simulator) OutputWord(i int) uint64 { return s.val[s.cc.outputs[i]] }
 
 // FaultSimulator propagates single stuck-at faults against the current
-// good-machine state of an embedded Simulator. Several FaultSimulators
-// may share one Simulator: DetectWord only reads the good machine, so
-// as long as nothing mutates it concurrently (SetInputs/Run), shared
-// fault simulators may run DetectWord in parallel — the shared
-// good-machine campaign mode is built on exactly that.
+// wide good-machine state of an embedded Simulator (see DetectWords).
+// Several FaultSimulators may share one Simulator: DetectWords only
+// reads the good machine, so as long as nothing mutates it
+// concurrently (SetInputsLane/RunWide), shared fault simulators may
+// run in parallel — the shared good-machine campaign mode is built on
+// exactly that.
 type FaultSimulator struct {
 	sim *Simulator
 	cc  *Compiled
 
-	// fval mirrors the good-machine values except on the gates of the
-	// current fault's difference cone (listed in touched). The mirror
-	// makes faulty gate evaluation identical to good evaluation — one
+	// fval mirrors the good machine's lane groups (nGates*W words,
+	// gate g at [g*W, (g+1)*W)) except on the gates of the current
+	// fault's difference cone (listed in touched). The mirror makes
+	// faulty gate evaluation identical to good evaluation — one
 	// indexed load per fanin, no per-fanin validity check — at the
-	// cost of an O(gates) copy once per batch (goodGen tracks it) and
-	// an O(cone) repair after each fault.
+	// cost of an O(gates) copy once per lane group (goodGen tracks it)
+	// and an O(cone) repair after each fault.
 	fval    []uint64
-	goodGen uint64 // sim.runGen the mirror was last refreshed at
+	goodGen uint64 // the good machine's runGen the mirror was last refreshed at
 
 	// qEpoch[g] is the last round gate g was enqueued in — the
 	// worklist membership test, one generation counter instead of a
@@ -144,7 +142,7 @@ type FaultSimulator struct {
 	// gEpoch[g] is meaningful for fused macro sinks only (see
 	// fuseXorMacros): the last round g was enqueued from a physical
 	// pin, i.e. by a fault inside its macro. Such visits must gather
-	// the sink's fanins — its tog word only ever carries macro-edge
+	// the sink's fanins — its tog group only ever carries macro-edge
 	// (fused-input) toggles, which never fire on those rounds.
 	gEpoch []uint32
 	epoch  uint32
@@ -160,470 +158,48 @@ type FaultSimulator struct {
 	// are never scanned and no per-enqueue maximum is maintained.
 	pending int
 
-	// tog[g] accumulates, while gate g sits enqueued, the XOR of the
-	// toggle masks (faulty XOR good) of the changed fanins that
-	// enqueued it — one contribution per consuming pin, so a driver
-	// read twice by a parity gate cancels itself. For linear gates
-	// (flagLinear) that accumulated word IS the output toggle, and the
-	// drain evaluates them as good^tog with no fanin gather: the
-	// diff-word path.
+	// tog (nGates*W words) accumulates, while a linear gate sits
+	// enqueued, the XOR of the toggle groups (faulty XOR good) of the
+	// changed fanins that enqueued it — one contribution per consuming
+	// pin, so a driver read twice by a parity gate cancels itself.
+	// For linear gates (flagLinear) that accumulated group IS the
+	// output toggle, and the drain evaluates them as good^tog with no
+	// fanin gather: the diff-word path.
 	tog []uint64
 
 	// Forced-pin activation scratch for gates with duplicated drivers:
-	// identity fanin indices over gathered values, so even that rare
-	// path flows through the same evalGate truth source.
+	// identity fanin indices over gathered operand groups (actVal,
+	// maxFanin*W words), so even that rare path flows through the same
+	// lane evaluators.
 	actIdx []int32
 	actVal []uint64
-
-	// wide holds the W-lane mirror/toggle state (see wide.go),
-	// allocated on first DetectWords use.
-	wide *fsWide
 }
 
 // NewFaultSimulator wraps a good-machine simulator. The caller drives
-// the good machine (SetInputs + Run) and then queries DetectWord per
-// fault for the same 64 patterns.
+// the good machine (SetInputsLane + RunWide) and then queries
+// DetectWords per fault for the same lane group.
 func NewFaultSimulator(s *Simulator) *FaultSimulator {
 	cc := s.cc
+	w := cc.lanes
 	fs := &FaultSimulator{
 		sim:    s,
 		cc:     cc,
-		fval:   make([]uint64, cc.nGates),
+		fval:   make([]uint64, cc.nGates*w),
 		qEpoch: make([]uint32, cc.nGates),
 		gEpoch: make([]uint32, cc.nGates),
 		queue:  make([]int32, cc.nGates),
 		qLen:   make([]int32, cc.depth+1),
-		tog:    make([]uint64, cc.nGates),
+		tog:    make([]uint64, cc.nGates*w),
 		actIdx: make([]int32, cc.maxFanin),
-		actVal: make([]uint64, cc.maxFanin),
+		actVal: make([]uint64, cc.maxFanin*w),
+		// goodGen 0 == runGen 0 would skip the first refresh; force it.
+		goodGen: ^uint64(0),
 	}
 	for i := range fs.actIdx {
 		fs.actIdx[i] = int32(i)
 	}
-	// goodGen 0 == runGen 0 would skip the first refresh; force it.
-	fs.goodGen = ^uint64(0)
 	return fs
 }
 
 // Good returns the embedded good-machine simulator.
 func (fs *FaultSimulator) Good() *Simulator { return fs.sim }
-
-// enqueueFanout queues every observable consumer of gate g (the
-// compiled fanout CSR holds exactly those), accumulating g's toggle
-// mask into each consumer's tog word — per consuming pin, so the
-// parity cancellation of duplicated drivers falls out of the CSR shape.
-func (fs *FaultSimulator) enqueueFanout(g int32) {
-	cc := fs.cc
-	nd := &cc.nodes[g]
-	tg := fs.fval[g] ^ fs.sim.val[g]
-	epoch := fs.epoch
-	qEpoch, queue, qLen, tog := fs.qEpoch, fs.queue, fs.qLen, fs.tog
-	n := 0
-	for _, e := range cc.fanout[nd.fanoutAt : nd.fanoutAt+int32(nd.fanoutN)] {
-		p := e & edgeIndexMask // macro edges carry the sink in the low bits
-		if qEpoch[p] == epoch {
-			tog[p] ^= tg // another toggled pin on an already-queued gate
-			continue
-		}
-		qEpoch[p] = epoch
-		tog[p] = tg
-		pn := &cc.nodes[p]
-		if e >= 0 && pn.flags&flagMacroSink != 0 {
-			fs.gEpoch[p] = epoch // physical pin into a fused sink: force a gather
-		}
-		ls := pn.levelSlot
-		lvl := int32(uint32(ls))
-		queue[int32(ls>>32)+qLen[lvl]] = p
-		qLen[lvl]++
-		n++
-	}
-	fs.pending += n
-}
-
-// DetectWord returns the mask of patterns (bits) in the current 64-slot
-// batch that detect fault f: patterns where at least one primary output
-// differs between good and faulty machine. The good machine must have
-// been Run for the batch first. Allocation-free in steady state.
-func (fs *FaultSimulator) DetectWord(f fault.Fault) uint64 {
-	cc := fs.cc
-	good := fs.sim.val
-	site := int32(f.Gate)
-	// The fault effect enters the circuit at the site gate's output
-	// (for a branch fault, the forced pin changes only that gate's own
-	// evaluation). If no primary output lies in its forward cone the
-	// effect is unobservable for every pattern — skip the propagation.
-	if !cc.reachesOut[site] {
-		return 0
-	}
-	if fs.goodGen != fs.sim.runGen {
-		copy(fs.fval, good)
-		fs.goodGen = fs.sim.runGen
-	}
-
-	fs.touched = fs.touched[:0]
-	fval := fs.fval
-
-	forced := uint64(0)
-	if f.Stuck == 1 {
-		forced = ^uint64(0)
-	}
-	var nv uint64
-	if f.IsStem() {
-		nv = forced
-	} else {
-		// Activation of a branch fault: evaluate the site gate with pin
-		// f.Pin forced. Nothing else of the faulty machine differs yet,
-		// so the mirror holds good-machine words everywhere — poking
-		// the driver's mirrored value forces exactly this pin, through
-		// the same evalGate call shape as propagation. A driver feeding
-		// the gate on several pins would leak onto its siblings, so
-		// those (rare, precompiled) gates gather operands instead.
-		g := int(site)
-		nd := &cc.nodes[g]
-		lo, hi := nd.faninAt, nd.faninAt+int32(nd.faninN)
-		if !cc.dupFanin[g] {
-			drv := cc.fanin[lo+int32(f.Pin)]
-			save := fval[drv]
-			fval[drv] = forced
-			nv = evalGate(nd.op, nd.inv, cc.fanin[lo:hi], fval)
-			fval[drv] = save
-		} else {
-			n := int(hi - lo)
-			for k := lo; k < hi; k++ {
-				fs.actVal[k-lo] = good[cc.fanin[k]]
-			}
-			fs.actVal[f.Pin] = forced
-			nv = evalGate(nd.op, nd.inv, fs.actIdx[:n], fs.actVal)
-		}
-	}
-	if nv == good[site] {
-		return 0 // fault never activated in this batch
-	}
-	var detect uint64
-	fval[site] = nv
-	fs.touched = append(fs.touched, site)
-
-	// One epoch per propagation round: the chase stamps every gate it
-	// evaluates into qEpoch so later shortcuts can tell a fresh gate
-	// from one whose value already absorbed applied fanin toggles, and
-	// the drain reuses the same stamps for queue dedup — so a
-	// chase-settled gate is never re-queued (and never has toggles
-	// double-counted into it).
-	fs.epoch++
-	if fs.epoch == 0 { // uint32 wrap: invalidate all stamps
-		for i := range fs.qEpoch {
-			fs.qEpoch[i] = 0
-		}
-		for i := range fs.gEpoch {
-			fs.gEpoch[i] = 0
-		}
-		fs.epoch = 1
-	}
-	epoch := fs.epoch
-
-	// Chain fast path: while the difference frontier stays narrow
-	// (see chase), follow it directly — level order is respected by
-	// construction and the worklist machinery is never engaged.
-	// Fanout-free chains and die-at-the-stem splits dominate these
-	// netlists, so most propagation resolves right here; the drain
-	// below also re-enters this path whenever its frontier narrows
-	// back to one gate. The chase also owns the sole-live-difference
-	// shortcuts: detection at outputs and sureOut dominators, and the
-	// gather-free pass-through at linear consumers.
-	a, b, live := fs.chase(site, nv^good[site], &detect)
-
-	if live && detect != ^uint64(0) {
-		// The frontier fans out: fall back to levelized worklist
-		// propagation. Every update flows forward, so enqueues land
-		// only on levels above the one being drained (fanout edges
-		// strictly increase level) and a level's segment is complete —
-		// its count stable — by the time the loop reaches it. The
-		// drain walks upward until nothing is pending; everything
-		// enqueued is strictly downstream of the frontier, so the scan
-		// starts just above it, and no frontier gate can re-enter the
-		// queue (that would need a cycle).
-		fs.enqueueFanout(a)
-		if b >= 0 {
-			// A two-gate frontier: chase returns the lower-level gate
-			// first, so the drain's start level covers both. b may
-			// consume a, but its chase stamp keeps a's dispatch from
-			// re-queueing it — b's value is final and its own fanout
-			// is dispatched right here.
-			fs.enqueueFanout(b)
-		}
-		lvl := int32(uint32(cc.nodes[a].levelSlot))
-		for fs.pending > 0 {
-			lvl++
-			n := fs.qLen[lvl]
-			if n == 0 {
-				continue
-			}
-			fs.qLen[lvl] = 0
-			fs.pending -= int(n)
-			base := cc.levelStart[lvl]
-			last := int32(-1)
-			for _, gi := range fs.queue[base : base+n] {
-				g := int(gi)
-				nd := &cc.nodes[g]
-				var nv uint64
-				if nd.flags&flagLinear != 0 &&
-					(nd.flags&flagMacroSink == 0 || fs.gEpoch[g] != epoch) {
-					// Diff-word visit: the toggles accumulated at
-					// enqueue time compose linearly through a parity
-					// gate, so its new value needs no fanin gather. A
-					// macro sink reached on a physical pin this round
-					// (gEpoch) gathers instead — the fault is inside
-					// its macro and tog carries nothing.
-					nv = good[g] ^ fs.tog[g]
-				} else {
-					nv = evalGate(nd.op, nd.inv, cc.fanin[nd.faninAt:nd.faninAt+int32(nd.faninN)], fval)
-				}
-				if nv != good[g] {
-					fval[g] = nv
-					fs.touched = append(fs.touched, gi)
-					if cc.isOut[g] {
-						detect |= nv ^ good[g]
-					}
-					fs.enqueueFanout(gi)
-					last = gi
-				}
-			}
-			// Once every pattern of the batch detects, propagating
-			// further cannot change the result: stop, discarding
-			// whatever is still queued.
-			if detect == ^uint64(0) {
-				for fs.pending > 0 {
-					lvl++
-					fs.pending -= int(fs.qLen[lvl])
-					fs.qLen[lvl] = 0
-				}
-				break
-			}
-			// Chain re-entry: if exactly one gate is pending and the
-			// last change has a single consumer, that consumer IS the
-			// pending gate (every enqueued-undrained gate is in the
-			// union of changed gates' consumers, which pending == 1
-			// collapses to one). Pop it without touching the worklist
-			// again and chase the chain; if the chase ends at a new
-			// fan-out point, resume the drain from its level.
-			if fs.pending == 1 && last >= 0 && cc.nodes[last].fanoutN == 1 {
-				p := cc.fanout[cc.nodes[last].fanoutAt] & edgeIndexMask
-				nd := &cc.nodes[p]
-				pl := int32(uint32(nd.levelSlot))
-				fs.qLen[pl] = 0
-				fs.pending = 0
-				var nv uint64
-				if nd.flags&flagLinear != 0 &&
-					(nd.flags&flagMacroSink == 0 || fs.gEpoch[p] != epoch) {
-					nv = good[p] ^ fs.tog[p]
-				} else {
-					nv = evalGate(nd.op, nd.inv, cc.fanin[nd.faninAt:nd.faninAt+int32(nd.faninN)], fval)
-				}
-				if nv == good[p] {
-					break // the only live difference died
-				}
-				fval[p] = nv
-				fs.touched = append(fs.touched, p)
-				var alive bool
-				a, b, alive = fs.chase(p, nv^good[p], &detect)
-				if !alive || detect == ^uint64(0) {
-					break
-				}
-				fs.enqueueFanout(a)
-				if b >= 0 {
-					fs.enqueueFanout(b)
-				}
-				lvl = int32(uint32(cc.nodes[a].levelSlot))
-			}
-		}
-	}
-
-	// Repair the mirror.
-	for _, gi := range fs.touched {
-		fval[gi] = good[gi]
-	}
-	return detect
-}
-
-// chase follows the difference frontier while it stays narrow: one
-// gate with one observable consumer (the fanout-free-chain case), or
-// one gate with two consumers of which at most one keeps the
-// difference alive (a stem whose other branch dies at a
-// non-sensitized gate — the dominant stem shape in these netlists).
-// Detections accumulate into *detect.
-//
-// The chase runs under the sole-live-difference invariant — every
-// changed gate except the frontier has had all its consumers settle —
-// which licenses three shortcuts the general drain cannot take:
-//
-//   - sureOut cut (dominator shortcut): a frontier carrying toggle
-//     curT into a flagSureOut gate contributes exactly curT to the
-//     detect mask and nothing downstream can add patterns beyond it
-//     (every later toggle of a single source is a subset of curT), so
-//     the round ends on the spot — primary outputs and the dominators
-//     of fanout-free parity chains both stop here.
-//   - linear pass-through: a single-pin linear consumer's new value is
-//     good^curT by construction — no fanin gather. The shortcut is
-//     only taken for gates not yet evaluated this round (no qEpoch
-//     stamp): a gate the chase already gathered has absorbed the
-//     applied toggles of its fanins, so re-walking an edge into it
-//     (reconvergence through a sibling) would double-count — those
-//     gates re-gather instead, which is exact against the mirror.
-//   - parity self-cancellation: a linear consumer reading the frontier
-//     on both pins receives curT^curT = 0 — the difference dies
-//     without evaluating anything.
-//
-// It returns the one or two gates of the final frontier (b == -1 for
-// none; a is the lower-level gate) and whether the difference is still
-// live; callers must have applied the initial frontier's value to the
-// mirror already, and must fall back to worklist propagation when two
-// gates return.
-func (fs *FaultSimulator) chase(g int32, curT uint64, detect *uint64) (a, b int32, live bool) {
-	cc := fs.cc
-	fval := fs.fval
-	good := fs.sim.val
-	frontier := g
-	nd := &cc.nodes[g]
-	qEpoch, epoch := fs.qEpoch, fs.epoch
-	// evalToggle evaluates gate p against the mirror, applies a changed
-	// value, and returns the new toggle mask (0 if the difference died).
-	// The qEpoch stamp records that p's value now reflects every toggle
-	// applied to the mirror — even a dead difference absorbed its fanin
-	// edges, so pass-throughs must not re-walk them.
-	evalToggle := func(p int32, pn *gateNode) uint64 {
-		qEpoch[p] = epoch
-		nv := evalGate(pn.op, pn.inv, cc.fanin[pn.faninAt:pn.faninAt+int32(pn.faninN)], fval)
-		if nv == good[p] {
-			return 0
-		}
-		fval[p] = nv
-		fs.touched = append(fs.touched, p)
-		return nv ^ good[p]
-	}
-	for {
-		if nd.flags&flagSureOut != 0 &&
-			(cc.isOut[frontier] || qEpoch[cc.fanout[nd.fanoutAt]&edgeIndexMask] != epoch) {
-			// Dominator cut: detection decided. A non-output sure gate
-			// has exactly one consumer, the head of a fresh linear
-			// chain to an output — but if that consumer was already
-			// evaluated this round (a reconvergent sibling that
-			// settled), its value absorbed this edge and the chain
-			// claim is void: fall through and re-gather it instead.
-			*detect |= curT
-			return frontier, -1, false
-		}
-		switch nd.fanoutN {
-		case 0:
-			return frontier, -1, false // ran off the end of the cone
-		case 1:
-			e := cc.fanout[nd.fanoutAt]
-			p := e & edgeIndexMask
-			pn := &cc.nodes[p]
-			// The single edge is toggle-transparent when the consumer
-			// is linear — except a fused macro sink reached on a
-			// physical pin (the fault is inside its macro), which must
-			// gather its fanins like any nonlinear gate.
-			if pn.flags&flagLinear != 0 && (e < 0 || pn.flags&flagMacroSink == 0) {
-				if qEpoch[p] != epoch {
-					qEpoch[p] = epoch
-					fval[p] = good[p] ^ curT // linear pass-through
-					fs.touched = append(fs.touched, p)
-					frontier, nd = p, pn
-					continue
-				}
-				if e < 0 {
-					// A macro edge into a sink already queued this
-					// round: its physical fanins do not carry this
-					// toggle, so a gather here would drop it — hand the
-					// frontier to the worklist, whose enqueue composes
-					// macro-edge toggles into the sink's tog word.
-					return frontier, -1, true
-				}
-			}
-			t := evalToggle(p, pn)
-			if t == 0 {
-				return frontier, -1, false // the only live difference died
-			}
-			frontier, nd, curT = p, pn, t
-		case 2:
-			e1, e2 := cc.fanout[nd.fanoutAt], cc.fanout[nd.fanoutAt+1]
-			if e1 < 0 || e2 < 0 {
-				// Macro edges on a split frontier: hand both to the
-				// worklist, whose enqueue dispatches tagged edges
-				// exactly (tog for sinks, queue for the rest).
-				return frontier, -1, true
-			}
-			p1, p2 := e1, e2
-			if p1 == p2 {
-				// One consumer reading the stem on two pins.
-				pn := &cc.nodes[p1]
-				if pn.flags&flagLinear != 0 {
-					return frontier, -1, false // curT^curT: parity cancels
-				}
-				t := evalToggle(p1, pn)
-				if t == 0 {
-					return frontier, -1, false
-				}
-				frontier, nd, curT = p1, pn, t
-				continue
-			}
-			n1, n2 := &cc.nodes[p1], &cc.nodes[p2]
-			if int32(uint32(n1.levelSlot)) > int32(uint32(n2.levelSlot)) {
-				p1, p2, n1, n2 = p2, p1, n2, n1
-			}
-			// Evaluating p2 here is sound only if none of its fanins
-			// can still change — i.e. nothing strictly downstream of
-			// p1 (level ≥ l1+1, excluding p1 itself) feeds it. That
-			// holds exactly when l2 ≤ l1+1; wider splits go to the
-			// levelized worklist, which re-settles everything in
-			// order.
-			if int32(uint32(n2.levelSlot)) > int32(uint32(n1.levelSlot))+1 {
-				return frontier, -1, true
-			}
-			// p2 may consume p1 itself, so p1 settles first (equal
-			// levels cannot feed each other).
-			var t1 uint64
-			if n1.flags&flagLinear != 0 && qEpoch[p1] != epoch {
-				qEpoch[p1] = epoch
-				t1 = curT
-				fval[p1] = good[p1] ^ curT
-				fs.touched = append(fs.touched, p1)
-			} else {
-				t1 = evalToggle(p1, n1)
-			}
-			var t2 uint64
-			if n2.flags&flagLinear != 0 && t1 == 0 && qEpoch[p2] != epoch {
-				// The pass-through is only safe while the frontier is
-				// still p2's sole toggled fanin — if p1 changed too,
-				// p2 may consume it, so gather instead.
-				t2 = curT
-				fval[p2] = good[p2] ^ curT
-				fs.touched = append(fs.touched, p2)
-			} else {
-				t2 = evalToggle(p2, n2)
-			}
-			switch {
-			case t1 != 0 && t2 != 0:
-				// Two live differences: the sole-live shortcuts are
-				// off the table (their cones may reconverge and
-				// cancel), and these frontier gates are never visited
-				// again, so record their own output detections here.
-				if cc.isOut[p1] {
-					*detect |= t1
-				}
-				if cc.isOut[p2] {
-					*detect |= t2
-				}
-				return p1, p2, true
-			case t1 != 0:
-				frontier, nd, curT = p1, n1, t1
-			case t2 != 0:
-				frontier, nd, curT = p2, n2, t2
-			default:
-				return frontier, -1, false // both branches died
-			}
-		default:
-			return frontier, -1, true
-		}
-	}
-}

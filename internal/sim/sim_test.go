@@ -94,66 +94,51 @@ func TestParallelMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestFaultSimMatchesScalar: DetectWord must agree bit-for-bit with the
-// brute-force two-machine scalar reference, for every fault.
+// TestFaultSimMatchesScalar: DetectWords must agree bit-for-bit with
+// the brute-force two-machine scalar reference, for every fault, every
+// lane and every pattern bit.
 func TestFaultSimMatchesScalar(t *testing.T) {
 	cases := []*circuit.Circuit{mustC17(t)}
 	for seed := uint64(0); seed < 6; seed++ {
 		cases = append(cases, randomCircuit(seed, 5, 25))
 	}
 	for _, c := range cases {
-		u := fault.New(c)
-		s := NewSimulator(c)
-		fs := NewFaultSimulator(s)
-		rng := prng.New(7)
-		words := make([]uint64, c.NumInputs())
-		for trial := 0; trial < 4; trial++ {
-			for i := range words {
-				words[i] = rng.Uint64()
-			}
-			s.SetInputs(words)
-			s.Run()
-			in := make([]bool, c.NumInputs())
-			for _, f := range u.All {
-				det := fs.DetectWord(f)
-				for bit := 0; bit < 64; bit++ {
-					for i := range in {
-						in[i] = words[i]>>uint(bit)&1 == 1
-					}
-					want := DetectsScalar(c, f, in)
-					got := det>>uint(bit)&1 == 1
-					if got != want {
-						t.Fatalf("circuit %s fault %v bit %d: event-driven=%v scalar=%v",
-							c.Name, f.Describe(c), bit, got, want)
-					}
-				}
-			}
-		}
+		checkWideReference(t, c, fault.New(c).All, 7, 8, 1)
 	}
 }
 
+// randomGroup loads every lane of s with random input words drawn from
+// rng and runs the wide good machine; group[l] is lane l's input words.
+func randomGroup(s *Simulator, rng *prng.SplitMix64) [][]uint64 {
+	group := make([][]uint64, s.Lanes())
+	for l := range group {
+		group[l] = make([]uint64, s.Circuit().NumInputs())
+		for i := range group[l] {
+			group[l][i] = rng.Uint64()
+		}
+		s.SetInputsLane(l, group[l])
+	}
+	s.RunWide()
+	return group
+}
+
 // TestFaultSimStateIsolation: interleaving different faults must not
-// leak state between DetectWord calls.
+// leak state between DetectWords calls.
 func TestFaultSimStateIsolation(t *testing.T) {
 	c := mustC17(t)
 	u := fault.New(c)
 	s := NewSimulator(c)
 	fs := NewFaultSimulator(s)
-	rng := prng.New(3)
-	words := make([]uint64, c.NumInputs())
-	for i := range words {
-		words[i] = rng.Uint64()
-	}
-	s.SetInputs(words)
-	s.Run()
-	first := make([]uint64, len(u.All))
+	randomGroup(s, prng.New(3))
+	first := make([][8]uint64, len(u.All))
 	for i, f := range u.All {
-		first[i] = fs.DetectWord(f)
+		fs.DetectWords(f, first[i][:])
 	}
 	// Reverse order must give identical masks.
+	var got [8]uint64
 	for i := len(u.All) - 1; i >= 0; i-- {
-		if got := fs.DetectWord(u.All[i]); got != first[i] {
-			t.Fatalf("fault %v: mask changed on re-query: %x vs %x",
+		if fs.DetectWords(u.All[i], got[:]); got != first[i] {
+			t.Fatalf("fault %v: masks changed on re-query: %x vs %x",
 				u.All[i].Describe(c), got, first[i])
 		}
 	}
@@ -166,7 +151,7 @@ func TestCampaignC17FullCoverage(t *testing.T) {
 	for i := range w {
 		w[i] = 0.5
 	}
-	res := RunCampaign(c, u.Reps, w, 1000, 1, 0)
+	res := runWeighted(c, u.Reps, w, 1000, 1, 0, serial)
 	if res.Coverage() != 1.0 {
 		t.Errorf("c17 coverage after 1000 random patterns = %v, want 1.0", res.Coverage())
 	}
@@ -184,8 +169,8 @@ func TestCampaignDeterminism(t *testing.T) {
 	c := mustC17(t)
 	u := fault.New(c)
 	w := []float64{0.5, 0.5, 0.5, 0.5, 0.5}
-	a := RunCampaign(c, u.Reps, w, 256, 42, 64)
-	b := RunCampaign(c, u.Reps, w, 256, 42, 64)
+	a := runWeighted(c, u.Reps, w, 256, 42, 64, serial)
+	b := runWeighted(c, u.Reps, w, 256, 42, 64, serial)
 	if a.Detected != b.Detected || len(a.Curve) != len(b.Curve) {
 		t.Fatalf("campaign not deterministic: %+v vs %+v", a, b)
 	}
@@ -200,7 +185,7 @@ func TestCampaignCurveMonotone(t *testing.T) {
 	c := mustC17(t)
 	u := fault.New(c)
 	w := []float64{0.5, 0.5, 0.5, 0.5, 0.5}
-	res := RunCampaign(c, u.Reps, w, 512, 9, 64)
+	res := runWeighted(c, u.Reps, w, 512, 9, 64, serial)
 	prev := CoveragePoint{}
 	for _, p := range res.Curve {
 		if p.Patterns < prev.Patterns || p.Detected < prev.Detected {
@@ -214,7 +199,7 @@ func TestCampaignZeroPatterns(t *testing.T) {
 	c := mustC17(t)
 	u := fault.New(c)
 	w := []float64{0.5, 0.5, 0.5, 0.5, 0.5}
-	res := RunCampaign(c, u.Reps, w, 0, 1, 0)
+	res := runWeighted(c, u.Reps, w, 0, 1, 0, serial)
 	if res.Detected != 0 {
 		t.Errorf("detected %d faults with zero patterns", res.Detected)
 	}
@@ -227,7 +212,7 @@ func TestCampaignWeightExtremes(t *testing.T) {
 	c := mustC17(t)
 	u := fault.New(c)
 	w := []float64{1, 1, 1, 1, 1}
-	res := RunCampaign(c, u.Reps, w, 128, 1, 0)
+	res := runWeighted(c, u.Reps, w, 128, 1, 0, serial)
 	if res.Coverage() >= 1.0 {
 		t.Errorf("constant patterns achieved full coverage (%v), impossible for c17", res.Coverage())
 	}
@@ -284,7 +269,8 @@ func TestMonteCarloApproachesExact(t *testing.T) {
 }
 
 // TestDetectWordQuick drives random circuits, random faults and random
-// patterns through quick.Check.
+// lane groups through quick.Check, against the scalar reference on a
+// bit sample of every lane.
 func TestDetectWordQuick(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 40}
 	f := func(seed uint64, faultPick uint, word uint64) bool {
@@ -293,21 +279,18 @@ func TestDetectWordQuick(t *testing.T) {
 		flt := u.All[int(faultPick%uint(len(u.All)))]
 		s := NewSimulator(c)
 		fs := NewFaultSimulator(s)
-		words := make([]uint64, c.NumInputs())
-		rng := prng.New(word)
-		for i := range words {
-			words[i] = rng.Uint64()
-		}
-		s.SetInputs(words)
-		s.Run()
-		det := fs.DetectWord(flt)
+		group := randomGroup(s, prng.New(word))
+		var det [8]uint64
+		fs.DetectWords(flt, det[:])
 		in := make([]bool, c.NumInputs())
-		for bit := 0; bit < 64; bit += 7 {
-			for i := range in {
-				in[i] = words[i]>>uint(bit)&1 == 1
-			}
-			if DetectsScalar(c, flt, in) != (det>>uint(bit)&1 == 1) {
-				return false
+		for l, words := range group {
+			for bit := l; bit < 64; bit += 7 {
+				for i := range in {
+					in[i] = words[i]>>uint(bit)&1 == 1
+				}
+				if DetectsScalar(c, flt, in) != (det[l]>>uint(bit)&1 == 1) {
+					return false
+				}
 			}
 		}
 		return true

@@ -6,27 +6,26 @@ import (
 	"optirand/internal/fault"
 )
 
-// This file is the wide-word half of the simulation kernels: W=4/8
-// 64-pattern words per gate visit (W is chosen at compile time, see
-// Compiled.lanes), laid out as contiguous [W]uint64 lane groups in
-// flat slices — gate g's words live at [g*W, (g+1)*W) — so the
-// straight-line bitwise loops auto-vectorize and one opcode dispatch,
-// one CSR fanin walk, and one worklist drain amortize across W pattern
-// batches. RunWide and DetectWords are the wide counterparts of Run
-// and DetectWord; the campaign loops in campaign.go run on them, and
-// the single-word kernels remain as the W=1 degenerate case.
+// This file is the fault-simulation kernel: W=4/8 64-pattern words
+// per gate visit (W is chosen at compile time, see Compiled.lanes),
+// laid out as contiguous [W]uint64 lane groups in flat slices — gate
+// g's words live at [g*W, (g+1)*W) — so the straight-line bitwise
+// loops auto-vectorize and one opcode dispatch, one CSR fanin walk,
+// and one worklist drain amortize across W pattern batches. The
+// campaign loops in campaign.go run on RunWide and DetectWords.
 //
-// The propagation structure mirrors sim.go exactly — activation,
-// chain chase with the linear pass-through and sureOut dominator cut,
-// levelized drain with diff-word visits and chain re-entry — except
-// that "changed" means any lane differs. The mirror holds per-lane
-// correct values throughout, so per-lane results are automatically
-// exact for every lane, for the same reason the 64 pattern bits inside
-// one word are: union-cone propagation over independent columns.
+// Propagation is activation, a chain chase with the linear
+// pass-through and sureOut dominator cut, and a levelized drain with
+// diff-word visits and chain re-entry, where "changed" means any lane
+// differs. The mirror holds per-lane correct values throughout, so
+// per-lane results are exact for every lane, for the same reason the
+// 64 pattern bits inside one word are: union-cone propagation over
+// independent columns.
 
 // evalLanes8 evaluates one gate over 8-word lane groups: val is a flat
 // lane array (gate g at [g*8, (g+1)*8)) and the result lands in out.
-// Semantically it is evalGate applied per lane; the fixed-size array
+// Semantically it is evalGate applied per lane (TestEvalLanesOpcodeEdges
+// pins that per opcode); the fixed-size array
 // pointers let the compiler drop bounds checks and vectorize.
 func evalLanes8(op uint8, inv uint64, fanin []int32, val []uint64, out *[8]uint64) {
 	switch op {
@@ -187,9 +186,8 @@ func evalLanesGate(w int, op uint8, inv uint64, fanin []int32, val []uint64, out
 // use (wideState).
 type simWide struct {
 	val []uint64 // nGates*W lane words, gate g at [g*W, (g+1)*W)
-	// runGen counts completed RunWide calls, independently of the
-	// narrow counter — each width's mirrors refresh against their own
-	// generation.
+	// runGen counts completed RunWide calls; fault simulators refresh
+	// their mirrors lazily, once per lane group, against it.
 	runGen uint64
 }
 
@@ -254,31 +252,6 @@ func (s *Simulator) OutputLane(i, lane int) uint64 {
 	return s.wideState().val[int(s.cc.outputs[i])*s.cc.lanes+lane]
 }
 
-// fsWide is a fault simulator's lane state: the wide mirror, the
-// per-gate toggle-group accumulators of the diff-word path, and the
-// duplicated-driver activation scratch, allocated on first
-// DetectWords use.
-type fsWide struct {
-	fval    []uint64 // nGates*W mirror of the wide good machine
-	tog     []uint64 // nGates*W toggle accumulators (see FaultSimulator.tog)
-	actVal  []uint64 // maxFanin*W gathered activation operands
-	goodGen uint64   // simWide.runGen the mirror was last refreshed at
-}
-
-func (fs *FaultSimulator) wideState() *fsWide {
-	if fs.wide == nil {
-		cc := fs.cc
-		fs.wide = &fsWide{
-			fval:   make([]uint64, cc.nGates*cc.lanes),
-			tog:    make([]uint64, cc.nGates*cc.lanes),
-			actVal: make([]uint64, cc.maxFanin*cc.lanes),
-			// goodGen 0 == runGen 0 would skip the first refresh.
-			goodGen: ^uint64(0),
-		}
-	}
-	return fs.wide
-}
-
 // allLanesFull reports that every lane's detect mask is saturated.
 func allLanesFull(det []uint64) bool {
 	for _, d := range det {
@@ -289,15 +262,16 @@ func allLanesFull(det []uint64) bool {
 	return true
 }
 
-// enqueueFanoutWide is enqueueFanout over lane groups: gate g's toggle
-// group accumulates into each linear consumer's tog group, once per
-// consuming pin (non-linear consumers gather from the mirror and never
-// read tog, so their accumulation is skipped). The two width-
-// specialized bodies use array-pointer casts so the lane loops compile
-// to straight-line, bounds-check-free code.
+// enqueueFanoutWide queues every observable consumer of gate g (the
+// compiled fanout CSR holds exactly those). g's toggle group
+// accumulates into each linear consumer's tog group, once per
+// consuming pin, so the parity cancellation of duplicated drivers
+// falls out of the CSR shape (non-linear consumers gather from the
+// mirror and never read tog, so their accumulation is skipped). The
+// two width-specialized bodies use array-pointer casts so the lane
+// loops compile to straight-line, bounds-check-free code.
 func (fs *FaultSimulator) enqueueFanoutWide(g int32) {
 	cc := fs.cc
-	fw := fs.wide
 	nd := &cc.nodes[g]
 	epoch := fs.epoch
 	qEpoch, queue, qLen := fs.qEpoch, fs.queue, fs.qLen
@@ -305,7 +279,7 @@ func (fs *FaultSimulator) enqueueFanoutWide(g int32) {
 	fanout := cc.fanout[nd.fanoutAt : nd.fanoutAt+int32(nd.fanoutN)]
 	n := 0
 	if cc.lanes == 8 {
-		fg := (*[8]uint64)(fw.fval[int(g)*8 : int(g)*8+8])
+		fg := (*[8]uint64)(fs.fval[int(g)*8 : int(g)*8+8])
 		gg := (*[8]uint64)(fs.sim.wide.val[int(g)*8 : int(g)*8+8])
 		var tg [8]uint64
 		for l := 0; l < 8; l++ {
@@ -316,7 +290,7 @@ func (fs *FaultSimulator) enqueueFanoutWide(g int32) {
 			pn := &nodes[p]
 			if qEpoch[p] == epoch {
 				if pn.flags&flagLinear != 0 {
-					tp := (*[8]uint64)(fw.tog[int(p)*8 : int(p)*8+8])
+					tp := (*[8]uint64)(fs.tog[int(p)*8 : int(p)*8+8])
 					for l := 0; l < 8; l++ {
 						tp[l] ^= tg[l]
 					}
@@ -328,7 +302,7 @@ func (fs *FaultSimulator) enqueueFanoutWide(g int32) {
 				fs.gEpoch[p] = epoch // physical pin into a fused sink: force a gather
 			}
 			if pn.flags&flagLinear != 0 {
-				*(*[8]uint64)(fw.tog[int(p)*8 : int(p)*8+8]) = tg
+				*(*[8]uint64)(fs.tog[int(p)*8 : int(p)*8+8]) = tg
 			}
 			ls := pn.levelSlot
 			lvl := int32(uint32(ls))
@@ -337,7 +311,7 @@ func (fs *FaultSimulator) enqueueFanoutWide(g int32) {
 			n++
 		}
 	} else {
-		fg := (*[4]uint64)(fw.fval[int(g)*4 : int(g)*4+4])
+		fg := (*[4]uint64)(fs.fval[int(g)*4 : int(g)*4+4])
 		gg := (*[4]uint64)(fs.sim.wide.val[int(g)*4 : int(g)*4+4])
 		var tg [4]uint64
 		for l := 0; l < 4; l++ {
@@ -348,7 +322,7 @@ func (fs *FaultSimulator) enqueueFanoutWide(g int32) {
 			pn := &nodes[p]
 			if qEpoch[p] == epoch {
 				if pn.flags&flagLinear != 0 {
-					tp := (*[4]uint64)(fw.tog[int(p)*4 : int(p)*4+4])
+					tp := (*[4]uint64)(fs.tog[int(p)*4 : int(p)*4+4])
 					for l := 0; l < 4; l++ {
 						tp[l] ^= tg[l]
 					}
@@ -360,7 +334,7 @@ func (fs *FaultSimulator) enqueueFanoutWide(g int32) {
 				fs.gEpoch[p] = epoch
 			}
 			if pn.flags&flagLinear != 0 {
-				*(*[4]uint64)(fw.tog[int(p)*4 : int(p)*4+4]) = tg
+				*(*[4]uint64)(fs.tog[int(p)*4 : int(p)*4+4]) = tg
 			}
 			ls := pn.levelSlot
 			lvl := int32(uint32(ls))
@@ -376,12 +350,13 @@ func (fs *FaultSimulator) enqueueFanoutWide(g int32) {
 // differs from good it applies the new group, stores the toggle lanes
 // into t, appends p to touched, and returns true. On false, t holds
 // zeros. The qEpoch stamp records that p's value now reflects every
-// toggle applied to the mirror (see the narrow evalToggle).
+// toggle applied to the mirror — even a dead difference absorbed its
+// fanin edges, so pass-throughs must not re-walk them.
 func (fs *FaultSimulator) evalApplyWide(p int32, pn *gateNode, t *[8]uint64) bool {
 	cc := fs.cc
 	w := cc.lanes
 	fs.qEpoch[p] = fs.epoch
-	fval := fs.wide.fval
+	fval := fs.fval
 	var nv [8]uint64
 	evalLanesGate(w, pn.op, pn.inv, cc.fanin[pn.faninAt:pn.faninAt+int32(pn.faninN)], fval, &nv)
 	gg := fs.sim.wide.val[int(p)*w:]
@@ -399,10 +374,11 @@ func (fs *FaultSimulator) evalApplyWide(p int32, pn *gateNode, t *[8]uint64) boo
 }
 
 // DetectWords fills det[:W] with the per-lane detection masks of fault
-// f against the current wide good-machine state: det[l] is what
-// DetectWord would return for the 64 patterns of lane l. The good
+// f against the current wide good-machine state: bit k of det[l] is
+// set when pattern k of lane l detects f, i.e. at least one primary
+// output differs between the good and the faulty machine. The good
 // machine must have been RunWide for the group first (len(det) must be
-// at least W). Allocation-free in steady state after the first call.
+// at least W). Allocation-free in steady state.
 func (fs *FaultSimulator) DetectWords(f fault.Fault, det []uint64) {
 	cc := fs.cc
 	w := cc.lanes
@@ -419,14 +395,13 @@ func (fs *FaultSimulator) DetectWords(f fault.Fault, det []uint64) {
 		panic("sim: DetectWords: RunWide has not been called on the good machine")
 	}
 	good := sw.val
-	fw := fs.wideState()
-	if fw.goodGen != sw.runGen {
-		copy(fw.fval, good)
-		fw.goodGen = sw.runGen
+	if fs.goodGen != sw.runGen {
+		copy(fs.fval, good)
+		fs.goodGen = sw.runGen
 	}
 
 	fs.touched = fs.touched[:0]
-	fval := fw.fval
+	fval := fs.fval
 
 	forced := uint64(0)
 	if f.Stuck == 1 {
@@ -440,9 +415,13 @@ func (fs *FaultSimulator) DetectWords(f fault.Fault, det []uint64) {
 			nv[l] = forced
 		}
 	} else {
-		// Branch-fault activation, exactly as in DetectWord but over
-		// lane groups: poke the driver's mirrored group (or gather for
-		// duplicated drivers) and evaluate the site gate once.
+		// Activation of a branch fault: evaluate the site gate with pin
+		// f.Pin forced. Nothing else of the faulty machine differs yet,
+		// so the mirror holds good-machine groups everywhere — poking
+		// the driver's mirrored group forces exactly this pin, through
+		// the same lane evaluator as propagation. A driver feeding the
+		// gate on several pins would leak onto its siblings, so those
+		// (rare, precompiled) gates gather operands instead.
 		lo, hi := nd.faninAt, nd.faninAt+int32(nd.faninN)
 		if !cc.dupFanin[g] {
 			drv := int(cc.fanin[lo+int32(f.Pin)])
@@ -458,12 +437,12 @@ func (fs *FaultSimulator) DetectWords(f fault.Fault, det []uint64) {
 			n := int(hi - lo)
 			for k := 0; k < n; k++ {
 				src := int(cc.fanin[lo+int32(k)])
-				copy(fw.actVal[k*w:k*w+w], good[src*w:src*w+w])
+				copy(fs.actVal[k*w:k*w+w], good[src*w:src*w+w])
 			}
 			for l := 0; l < w; l++ {
-				fw.actVal[int(f.Pin)*w+l] = forced
+				fs.actVal[int(f.Pin)*w+l] = forced
 			}
-			evalLanesGate(w, nd.op, nd.inv, fs.actIdx[:n], fw.actVal, &nv)
+			evalLanesGate(w, nd.op, nd.inv, fs.actIdx[:n], fs.actVal, &nv)
 		}
 	}
 	var curT [8]uint64
@@ -479,8 +458,12 @@ func (fs *FaultSimulator) DetectWords(f fault.Fault, det []uint64) {
 	copy(fval[g*w:g*w+w], nv[:w])
 	fs.touched = append(fs.touched, site)
 
-	// One epoch per round, stamped by the chase and reused by the drain
-	// for queue dedup — exactly as in DetectWord.
+	// One epoch per propagation round: the chase stamps every gate it
+	// evaluates into qEpoch so later shortcuts can tell a fresh gate
+	// from one whose value already absorbed applied fanin toggles, and
+	// the drain reuses the same stamps for queue dedup — so a
+	// chase-settled gate is never re-queued (and never has toggles
+	// double-counted into it).
 	fs.epoch++
 	if fs.epoch == 0 { // uint32 wrap: invalidate all stamps
 		for i := range fs.qEpoch {
@@ -493,9 +476,28 @@ func (fs *FaultSimulator) DetectWords(f fault.Fault, det []uint64) {
 	}
 	epoch := fs.epoch
 
+	// Chain fast path: while the difference frontier stays narrow
+	// (see chaseWide), follow it directly — level order is respected
+	// by construction and the worklist machinery is never engaged.
+	// Fanout-free chains and die-at-the-stem splits dominate these
+	// netlists, so most propagation resolves right here; the drain
+	// below also re-enters this path whenever its frontier narrows
+	// back to one gate.
 	a, b, live := fs.chaseWide(site, &curT, det)
 
 	if live && !allLanesFull(det) {
+		// The frontier fans out: fall back to levelized worklist
+		// propagation. Every update flows forward, so enqueues land
+		// only on levels above the one being drained (fanout edges
+		// strictly increase level) and a level's segment is complete —
+		// its count stable — by the time the loop reaches it. The
+		// drain walks upward until nothing is pending; everything
+		// enqueued is strictly downstream of the frontier, so the scan
+		// starts just above it, and no frontier gate can re-enter the
+		// queue (that would need a cycle). For a two-gate frontier the
+		// chase returns the lower-level gate first, so the start level
+		// covers both; b may consume a, but its chase stamp keeps a's
+		// dispatch from re-queueing it.
 		fs.enqueueFanoutWide(a)
 		if b >= 0 {
 			fs.enqueueFanoutWide(b)
@@ -523,9 +525,10 @@ func (fs *FaultSimulator) DetectWords(f fault.Fault, det []uint64) {
 					// group lands in the mirror directly (an unqueued
 					// gate's mirror holds good values, so there is
 					// nothing to preserve). A macro sink reached on a
-					// physical pin this round (gEpoch) gathers instead,
-					// as in DetectWord.
-					tg := fw.tog[int(gi)*w : int(gi)*w+w]
+					// physical pin this round (gEpoch) gathers instead —
+					// the fault is inside its macro and tog carries
+					// nothing.
+					tg := fs.tog[int(gi)*w : int(gi)*w+w]
 					for l := 0; l < w; l++ {
 						any |= tg[l]
 					}
@@ -560,6 +563,9 @@ func (fs *FaultSimulator) DetectWords(f fault.Fault, det []uint64) {
 				fs.enqueueFanoutWide(gi)
 				last = gi
 			}
+			// Once every pattern of the group detects, propagating
+			// further cannot change the result: stop, discarding
+			// whatever is still queued.
 			if allLanesFull(det) {
 				for fs.pending > 0 {
 					lvl++
@@ -568,7 +574,13 @@ func (fs *FaultSimulator) DetectWords(f fault.Fault, det []uint64) {
 				}
 				break
 			}
-			// Chain re-entry, as in DetectWord.
+			// Chain re-entry: if exactly one gate is pending and the
+			// last change has a single consumer, that consumer IS the
+			// pending gate (every enqueued-undrained gate is in the
+			// union of changed gates' consumers, which pending == 1
+			// collapses to one). Pop it without touching the worklist
+			// again and chase the chain; if the chase ends at a new
+			// fan-out point, resume the drain from its level.
 			if fs.pending == 1 && last >= 0 && cc.nodes[last].fanoutN == 1 {
 				p := cc.fanout[cc.nodes[last].fanoutAt] & edgeIndexMask
 				pd := &cc.nodes[p]
@@ -579,7 +591,7 @@ func (fs *FaultSimulator) DetectWords(f fault.Fault, det []uint64) {
 				any := uint64(0)
 				if pd.flags&flagLinear != 0 &&
 					(pd.flags&flagMacroSink == 0 || fs.gEpoch[p] != epoch) {
-					tg := fw.tog[int(p)*w:]
+					tg := fs.tog[int(p)*w:]
 					for l := 0; l < w; l++ {
 						tmp[l] = gg[l] ^ tg[l]
 						any |= tg[l]
@@ -618,19 +630,47 @@ func (fs *FaultSimulator) DetectWords(f fault.Fault, det []uint64) {
 	}
 }
 
-// chaseWide is chase over lane groups: the frontier carries a toggle
-// group (curT, first W slots), "live" means any lane differs, and the
-// sole-live-difference shortcuts — the sureOut dominator cut, the
-// linear pass-through, parity self-cancellation — apply per lane for
-// the same reasons they apply per bit (lanes are independent columns
-// and the frontier is each lane's only live difference or a dead one).
-// Returns the one or two gates of the final frontier (b == -1 for
-// none; a is the lower-level gate) and whether any lane is still live.
+// chaseWide follows the difference frontier while it stays narrow:
+// one gate with one observable consumer (the fanout-free-chain case),
+// or one gate with two consumers of which at most one keeps the
+// difference alive (a stem whose other branch dies at a
+// non-sensitized gate — the dominant stem shape in these netlists).
+// The frontier carries a toggle group (curT, first W slots), "live"
+// means any lane differs, and detections accumulate into det.
+//
+// The chase runs under the sole-live-difference invariant — every
+// changed gate except the frontier has had all its consumers settle —
+// which licenses three shortcuts the general drain cannot take. They
+// apply per lane for the same reasons they apply per bit: lanes are
+// independent columns, and the frontier is each lane's only live
+// difference or a dead one.
+//
+//   - sureOut cut (dominator shortcut): a frontier carrying toggle
+//     curT into a flagSureOut gate contributes exactly curT to the
+//     detect mask and nothing downstream can add patterns beyond it
+//     (every later toggle of a single source is a subset of curT), so
+//     the round ends on the spot — primary outputs and the dominators
+//     of fanout-free parity chains both stop here.
+//   - linear pass-through: a single-pin linear consumer's new value is
+//     good^curT by construction — no fanin gather. The shortcut is
+//     only taken for gates not yet evaluated this round (no qEpoch
+//     stamp): a gate the chase already gathered has absorbed the
+//     applied toggles of its fanins, so re-walking an edge into it
+//     (reconvergence through a sibling) would double-count — those
+//     gates re-gather instead, which is exact against the mirror.
+//   - parity self-cancellation: a linear consumer reading the frontier
+//     on both pins receives curT^curT = 0 — the difference dies
+//     without evaluating anything.
+//
+// It returns the one or two gates of the final frontier (b == -1 for
+// none; a is the lower-level gate) and whether any lane is still
+// live; callers must have applied the initial frontier's group to the
+// mirror already, and must fall back to worklist propagation when two
+// gates return.
 func (fs *FaultSimulator) chaseWide(g int32, curT *[8]uint64, det []uint64) (a, b int32, live bool) {
 	cc := fs.cc
 	w := cc.lanes
-	fw := fs.wide
-	fval := fw.fval
+	fval := fs.fval
 	good := fs.sim.wide.val
 	frontier := g
 	nd := &cc.nodes[g]
@@ -638,8 +678,12 @@ func (fs *FaultSimulator) chaseWide(g int32, curT *[8]uint64, det []uint64) (a, 
 	for {
 		if nd.flags&flagSureOut != 0 &&
 			(cc.isOut[frontier] || qEpoch[cc.fanout[nd.fanoutAt]&edgeIndexMask] != epoch) {
-			// Dominator cut, guarded against a settled chain head
-			// exactly as in the narrow chase.
+			// Dominator cut: detection decided. A non-output sure gate
+			// has exactly one consumer, the head of a fresh linear
+			// chain to an output — but if that consumer was already
+			// evaluated this round (a reconvergent sibling that
+			// settled), its value absorbed this edge and the chain
+			// claim is void: fall through and re-gather it instead.
 			for l := 0; l < w; l++ {
 				det[l] |= curT[l]
 			}
@@ -652,16 +696,17 @@ func (fs *FaultSimulator) chaseWide(g int32, curT *[8]uint64, det []uint64) (a, 
 			e := cc.fanout[nd.fanoutAt]
 			p := e & edgeIndexMask
 			pn := &cc.nodes[p]
-			// Toggle transparency of the single edge, as in the narrow
-			// chase: linear consumers pass the group through — except a
-			// fused macro sink reached on a physical pin, which gathers.
+			// The single edge is toggle-transparent when the consumer
+			// is linear — except a fused macro sink reached on a
+			// physical pin (the fault is inside its macro), which must
+			// gather its fanins like any nonlinear gate.
 			if pn.flags&flagLinear != 0 && (e < 0 || pn.flags&flagMacroSink == 0) {
 				if qEpoch[p] != epoch {
 					// Linear pass-through: the toggle group survives
 					// unchanged, no gather. Skipped for gates already
 					// evaluated this round (their value absorbed the
 					// applied toggles — re-walking the edge would
-					// double-count; see the narrow chase).
+					// double-count).
 					qEpoch[p] = epoch
 					gg := good[int(p)*w:]
 					pf := fval[int(p)*w : int(p)*w+w]
@@ -674,8 +719,10 @@ func (fs *FaultSimulator) chaseWide(g int32, curT *[8]uint64, det []uint64) (a, 
 				}
 				if e < 0 {
 					// Macro edge into a sink already queued this round:
-					// a gather would drop the toggle (see the narrow
-					// chase) — hand the frontier to the worklist.
+					// its physical fanins do not carry this toggle, so a
+					// gather would drop it — hand the frontier to the
+					// worklist, whose enqueue composes macro-edge toggles
+					// into the sink's tog group.
 					return frontier, -1, true
 				}
 			}
@@ -686,8 +733,9 @@ func (fs *FaultSimulator) chaseWide(g int32, curT *[8]uint64, det []uint64) (a, 
 		case 2:
 			e1, e2 := cc.fanout[nd.fanoutAt], cc.fanout[nd.fanoutAt+1]
 			if e1 < 0 || e2 < 0 {
-				// Macro edges on a split frontier go to the worklist,
-				// as in the narrow chase.
+				// Macro edges on a split frontier: hand both to the
+				// worklist, whose enqueue dispatches tagged edges
+				// exactly (tog for sinks, queue for the rest).
 				return frontier, -1, true
 			}
 			p1, p2 := e1, e2
@@ -707,8 +755,13 @@ func (fs *FaultSimulator) chaseWide(g int32, curT *[8]uint64, det []uint64) (a, 
 			if int32(uint32(n1.levelSlot)) > int32(uint32(n2.levelSlot)) {
 				p1, p2, n1, n2 = p2, p1, n2, n1
 			}
-			// Same level guard as the narrow chase: p2's fanins must
-			// all be settled before it is evaluated here.
+			// Evaluating p2 here is sound only if none of its fanins
+			// can still change — i.e. nothing strictly downstream of
+			// p1 (level ≥ l1+1, excluding p1 itself) feeds it. That
+			// holds exactly when l2 ≤ l1+1; wider splits go to the
+			// levelized worklist, which re-settles everything in
+			// order. p2 may consume p1 itself, so p1 settles first
+			// (equal levels cannot feed each other).
 			if int32(uint32(n2.levelSlot)) > int32(uint32(n1.levelSlot))+1 {
 				return frontier, -1, true
 			}

@@ -20,60 +20,91 @@ func newSimAt(c *circuit.Circuit, lanes int) *Simulator {
 	return NewSimulatorLanes(c, lanes)
 }
 
-// checkWideMatches drives nGroups lane groups of random patterns
-// through the wide kernel at every width and asserts, per lane,
-// bit-identity of DetectWords against both the frozen LegacyKernel and
-// the narrow (W=1) DetectWord path for every fault in faults.
-func checkWideMatches(t *testing.T, c *circuit.Circuit, faults []fault.Fault, seed uint64, nGroups int) {
+// checkWideReference drives nBatches seeded random 64-pattern batches
+// (a multiple of 8, so every width sees whole lane groups) through the
+// wide kernel at every width and asserts that
+//   - every width yields the same DetectWords mask for every fault and
+//     batch, on all 64 bits;
+//   - the good machine's lanes and those masks agree with the scalar
+//     reference semantics (Circuit.Eval, DetectsScalar) on every
+//     bitStride-th pattern bit, the sampled bits rotating per batch.
+func checkWideReference(t *testing.T, c *circuit.Circuit, faults []fault.Fault, seed uint64, nBatches, bitStride int) {
 	t.Helper()
-	narrow := NewSimulator(c)
-	nfs := NewFaultSimulator(narrow)
-	lk := NewLegacyKernel(c)
+	rng := prng.New(seed)
+	batches := make([][]uint64, nBatches)
+	for b := range batches {
+		batches[b] = make([]uint64, c.NumInputs())
+		for i := range batches[b] {
+			batches[b][i] = rng.Uint64()
+		}
+	}
+	// sampled calls visit for every sampled bit of every batch with
+	// that bit's scalar input assignment.
+	in := make([]bool, c.NumInputs())
+	sampled := func(visit func(b, bit int)) {
+		for b, words := range batches {
+			for bit := b % bitStride; bit < 64; bit += bitStride {
+				for i := range in {
+					in[i] = words[i]>>uint(bit)&1 == 1
+				}
+				visit(b, bit)
+			}
+		}
+	}
+
+	var ref []uint64 // masks of the first width, ref[b*len(faults)+fi]
 	for _, lanes := range wideWidths {
 		s := newSimAt(c, lanes)
 		fs := NewFaultSimulator(s)
 		w := s.Lanes()
-		rng := prng.New(seed)
-		words := make([]uint64, c.NumInputs())
-		group := make([][]uint64, w)
-		for l := range group {
-			group[l] = make([]uint64, c.NumInputs())
-		}
+		masks := make([]uint64, nBatches*len(faults))
+		good := make([][]uint64, nBatches) // good[b][g]: gate g's word in batch b
 		var det [8]uint64
-		for gi := 0; gi < nGroups; gi++ {
+		for g := 0; g < nBatches; g += w {
 			for l := 0; l < w; l++ {
-				for i := range group[l] {
-					group[l][i] = rng.Uint64()
-				}
-				s.SetInputsLane(l, group[l])
+				s.SetInputsLane(l, batches[g+l])
 			}
 			s.RunWide()
-			// Good machine: every lane must equal a narrow run.
 			for l := 0; l < w; l++ {
-				copy(words, group[l])
-				narrow.SetInputs(words)
-				narrow.Run()
-				lk.SetInputs(words)
-				lk.Run()
-				for g := 0; g < c.NumGates(); g++ {
-					if got, want := s.ValueLane(g, l), narrow.Value(g); got != want {
-						t.Fatalf("w=%d group %d lane %d gate %d: RunWide %x narrow %x", w, gi, l, g, got, want)
-					}
+				good[g+l] = make([]uint64, c.NumGates())
+				for gate := range good[g+l] {
+					good[g+l][gate] = s.ValueLane(gate, l)
 				}
-				for _, f := range faults {
-					fs.DetectWords(f, det[:])
-					nw := nfs.DetectWord(f)
-					lw := lk.DetectWord(f)
-					if nw != lw {
-						t.Fatalf("w=%d group %d lane %d fault %v: narrow %x legacy %x", w, gi, l, f.Describe(c), nw, lw)
-					}
-					if det[l] != lw {
-						t.Fatalf("w=%d group %d lane %d fault %v: DetectWords %x legacy %x", w, gi, l, f.Describe(c), det[l], lw)
-					}
+			}
+			for fi, f := range faults {
+				fs.DetectWords(f, det[:w])
+				for l := 0; l < w; l++ {
+					masks[(g+l)*len(faults)+fi] = det[l]
 				}
+			}
+		}
+		sampled(func(b, bit int) {
+			want := c.Eval(in)
+			for gate, v := range want {
+				if got := good[b][gate]>>uint(bit)&1 == 1; got != v {
+					t.Fatalf("w=%d batch %d bit %d gate %d: RunWide %v, scalar %v", w, b, bit, gate, got, v)
+				}
+			}
+		})
+		if ref == nil {
+			ref = masks
+			continue
+		}
+		for i, m := range masks {
+			if m != ref[i] {
+				t.Fatalf("w=%d batch %d fault %v: DetectWords %x, at width %d %x",
+					w, i/len(faults), faults[i%len(faults)].Describe(c), m, wideWidths[0], ref[i])
 			}
 		}
 	}
+	sampled(func(b, bit int) {
+		for fi, f := range faults {
+			got := ref[b*len(faults)+fi]>>uint(bit)&1 == 1
+			if want := DetectsScalar(c, f, in); got != want {
+				t.Fatalf("batch %d bit %d fault %v: DetectWords %v, scalar %v", b, bit, f.Describe(c), got, want)
+			}
+		}
+	})
 }
 
 // someFaults picks up to n faults from the full universe with a
@@ -92,12 +123,12 @@ func someFaults(all []fault.Fault, n int) []fault.Fault {
 	return out
 }
 
-// TestWideMatchesLegacy is the wide-kernel differential fuzz suite on
-// the curated parity-heavy benchmarks: DetectWords at W=auto/4/8 must
-// equal LegacyKernel and the narrow kernel bit-for-bit on every lane.
-// c499/c1355 exercise the diff-word linear path and the sureOut chain
-// dominators end to end.
-func TestWideMatchesLegacy(t *testing.T) {
+// TestWideMatchesReference is the wide-kernel differential fuzz suite
+// on the curated parity-heavy benchmarks: DetectWords at W=auto/4/8
+// must agree across widths on every lane and with the scalar reference
+// on a rotating bit sample. c499/c1355 exercise the diff-word linear
+// path and the sureOut chain dominators end to end.
+func TestWideMatchesReference(t *testing.T) {
 	for _, name := range []string{"c432", "c499", "c880", "c1355"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -111,7 +142,7 @@ func TestWideMatchesLegacy(t *testing.T) {
 			if testing.Short() || len(faults) > 600 {
 				faults = someFaults(faults, 300)
 			}
-			checkWideMatches(t, c, faults, xw_seed(name), 2)
+			checkWideReference(t, c, faults, xw_seed(name), 16, 8)
 		})
 	}
 }
@@ -126,20 +157,20 @@ func xw_seed(name string) uint64 {
 	return h
 }
 
-// TestWideMatchesLegacyRandom fuzzes the wide kernels on random
+// TestWideMatchesReferenceRandom fuzzes the wide kernels on random
 // circuits (odd fanins, duplicate pins, dangling cones, XOR trees)
 // with random fault subsets and random seeds — the shapes where the
 // chase shortcuts (linear pass-through, settlement stamps, sureOut
 // chains) have historically been wrong before release.
-func TestWideMatchesLegacyRandom(t *testing.T) {
+func TestWideMatchesReferenceRandom(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
 		c := randomCircuit(seed, 6, 40)
-		checkWideMatches(t, c, fault.New(c).All, seed*131+7, 1)
+		checkWideReference(t, c, fault.New(c).All, seed*131+7, 8, 4)
 	}
 	// Larger, deeper instances with fewer seeds.
 	for seed := uint64(100); seed < 103; seed++ {
 		c := randomCircuit(seed, 8, 120)
-		checkWideMatches(t, c, someFaults(fault.New(c).All, 120), seed, 1)
+		checkWideReference(t, c, someFaults(fault.New(c).All, 120), seed, 8, 4)
 	}
 }
 
@@ -188,7 +219,7 @@ func triangleCircuit() *circuit.Circuit {
 func TestChaseSettlementRegressions(t *testing.T) {
 	for _, build := range []func() *circuit.Circuit{siblingCircuit, triangleCircuit} {
 		c := build()
-		checkWideMatches(t, c, fault.New(c).All, 42, 2)
+		checkWideReference(t, c, fault.New(c).All, 42, 16, 1)
 	}
 }
 
@@ -354,8 +385,8 @@ func countMacroSinks(c *circuit.Circuit) int {
 
 // TestXorMacroFusion pins the compile-time XOR-macro fusion: the
 // canonical shapes must fuse (or, when spoiled, must not), and fused
-// propagation must stay bit-identical to the legacy and narrow kernels
-// over the full fault universe — including faults at the macro's
+// propagation must stay bit-identical to the scalar reference over the
+// full fault universe — including faults at the macro's
 // internal NANDs and on their pins, which exercise the physical-pin
 // gather (gEpoch) path.
 func TestXorMacroFusion(t *testing.T) {
@@ -411,7 +442,7 @@ func TestXorMacroFusion(t *testing.T) {
 			if got := countMacroSinks(c); got != tc.sinks {
 				t.Fatalf("fused %d macro sinks, want %d", got, tc.sinks)
 			}
-			checkWideMatches(t, c, fault.New(c).All, xw_seed(tc.name), 2)
+			checkWideReference(t, c, fault.New(c).All, xw_seed(tc.name), 16, 1)
 		})
 	}
 }

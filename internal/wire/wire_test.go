@@ -117,8 +117,9 @@ func TestCircuitRoundTripBehavior(t *testing.T) {
 		for i := range weights {
 			weights[i] = 0.5
 		}
-		ref := sim.RunCampaign(c, faults, weights, 512, 1987, 128)
-		got := sim.RunCampaign(rc, rfaults, weights, 512, 1987, 128)
+		cfg := sim.CampaignConfig{Patterns: 512, CurveStep: 128, Workers: 1}
+		ref := sim.RunCampaignConfig(c, faults, [][]float64{weights}, 1987, cfg)
+		got := sim.RunCampaignConfig(rc, rfaults, [][]float64{weights}, 1987, cfg)
 		if !reflect.DeepEqual(ref, got) {
 			t.Fatalf("%s: campaign on reconstructed circuit differs", name)
 		}

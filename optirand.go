@@ -28,8 +28,7 @@
 // Runner is the execution surface: one handle that runs campaigns,
 // optimizations, and sweep grids on an in-process pool, behind a
 // content-addressed cache, or on a remote optirandd service — with
-// bit-identical results on every backend. The pre-Runner entry points
-// (SimulateRandomTest and friends) remain as deprecated wrappers.
+// bit-identical results on every backend.
 //
 // The heavy lifting lives in internal packages: gate-level circuit
 // model, bench-format I/O, 64-way parallel fault simulation, BDD-exact
@@ -40,10 +39,8 @@
 package optirand
 
 import (
-	"context"
 	"io"
 	"os"
-	"runtime"
 
 	"optirand/internal/atpg"
 	"optirand/internal/bench"
@@ -199,64 +196,6 @@ func ExpectedCoverage(probs []float64, n float64) float64 {
 	return testlen.ExpectedCoverage(probs, n)
 }
 
-// mustCampaign backs the deprecated facade wrappers: it runs one spec
-// on a throwaway local Runner and panics on spec errors — the
-// pre-Runner functions had no error returns, and their failure mode
-// for invalid input (mismatched weight lengths, nil circuits) was a
-// panic deep inside the simulator anyway.
-func mustCampaign(r *Runner, spec CampaignSpec) *CampaignResult {
-	defer r.Close()
-	res, err := r.Campaign(context.Background(), spec)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// OptimizeWeights runs the paper's OPTIMIZE procedure: coordinate
-// descent on J_N with per-coordinate Newton minimization, returning the
-// optimized per-input probabilities.
-//
-// Deprecated: use Runner.Optimize with an OptimizeSpec, which also
-// runs on remote backends. This wrapper delegates to a local Runner.
-func OptimizeWeights(c *Circuit, faults []Fault, opts OptimizeOptions) (*OptimizeResult, error) {
-	r := NewRunner()
-	defer r.Close()
-	return r.Optimize(context.Background(), OptimizeSpec{Circuit: c, Faults: faults, Options: opts})
-}
-
-// SimulateRandomTest fault-simulates nPatterns weighted random patterns
-// (64-way parallel, event-driven, with fault dropping) and reports the
-// achieved coverage. curveStep > 0 additionally samples the coverage
-// curve every curveStep patterns.
-//
-// Deprecated: use Runner.Campaign with a CampaignSpec whose Source is
-// Weights(weights). This wrapper delegates to a local Runner.
-func SimulateRandomTest(c *Circuit, faults []Fault, weights []float64, nPatterns int, seed uint64, curveStep int) *CampaignResult {
-	return mustCampaign(NewRunner(WithSeed(seed)), CampaignSpec{
-		Circuit: c, Faults: faults, Source: Weights(weights),
-		Patterns: nPatterns, Seed: seed, CurveStep: curveStep,
-	})
-}
-
-// SimulateRandomTestWorkers is SimulateRandomTest with the fault list
-// sharded across workers goroutines (<= 0 selects GOMAXPROCS). Every
-// worker replays the identical seeded pattern stream against its
-// shard, so the result is bit-identical to the serial campaign for
-// every worker count.
-//
-// Deprecated: use Runner.Campaign on a Runner built with
-// WithSimWorkers(workers). This wrapper delegates to exactly that.
-func SimulateRandomTestWorkers(c *Circuit, faults []Fault, weights []float64, nPatterns int, seed uint64, curveStep, workers int) *CampaignResult {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return mustCampaign(NewRunner(WithSeed(seed), WithSimWorkers(workers)), CampaignSpec{
-		Circuit: c, Faults: faults, Source: Weights(weights),
-		Patterns: nPatterns, Seed: seed, CurveStep: curveStep,
-	})
-}
-
 // MultiDistributionResult reports the §5.3 extension: several weight
 // sets serving a partitioned fault set.
 type MultiDistributionResult = core.MultiResult
@@ -266,51 +205,9 @@ type MultiDistributionResult = core.MultiResult
 // test sets far apart in Hamming distance, no single distribution
 // serves both; the fault set is partitioned and one distribution is
 // optimized per part. Patterns are then drawn from the equal mixture
-// (see SimulateRandomTestMixture).
+// (a Runner campaign whose Source is Mixture(res.WeightSets...)).
 func OptimizeMultiDistribution(c *Circuit, faults []Fault, maxParts int, opts OptimizeOptions) (*MultiDistributionResult, error) {
 	return core.OptimizeMulti(c, faults, maxParts, opts)
-}
-
-// SimulateRandomTestMixture fault-simulates patterns drawn from several
-// weight sets in rotation (one 64-pattern batch per set).
-//
-// Deprecated: use Runner.Campaign with a CampaignSpec whose Source is
-// Mixture(weightSets...). This wrapper delegates to a local Runner.
-func SimulateRandomTestMixture(c *Circuit, faults []Fault, weightSets [][]float64, nPatterns int, seed uint64, curveStep int) *CampaignResult {
-	return mustCampaign(NewRunner(WithSeed(seed)), CampaignSpec{
-		Circuit: c, Faults: faults, Source: Mixture(weightSets...),
-		Patterns: nPatterns, Seed: seed, CurveStep: curveStep,
-	})
-}
-
-// SimulateRandomTestMixtureWorkers is SimulateRandomTestMixture with
-// the fault list sharded across workers goroutines (<= 0 selects
-// GOMAXPROCS); bit-identical to the serial mixture campaign.
-//
-// Deprecated: use Runner.Campaign on a Runner built with
-// WithSimWorkers(workers). This wrapper delegates to exactly that.
-func SimulateRandomTestMixtureWorkers(c *Circuit, faults []Fault, weightSets [][]float64, nPatterns int, seed uint64, curveStep, workers int) *CampaignResult {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return mustCampaign(NewRunner(WithSeed(seed), WithSimWorkers(workers)), CampaignSpec{
-		Circuit: c, Faults: faults, Source: Mixture(weightSets...),
-		Patterns: nPatterns, Seed: seed, CurveStep: curveStep,
-	})
-}
-
-// SimulateWithSource fault-simulates patterns from an external source:
-// next is called once per 64-pattern batch and must fill one word per
-// primary input (bit k of word i = input i in pattern k). Use it to
-// drive the simulation from hardware models such as NewWeightedLFSR.
-//
-// Deprecated: use Runner.Campaign with a CampaignSpec whose Source is
-// Stream(next). This wrapper delegates to a local Runner.
-func SimulateWithSource(c *Circuit, faults []Fault, next func(dst []uint64), nPatterns, curveStep int) *CampaignResult {
-	return mustCampaign(NewRunner(), CampaignSpec{
-		Circuit: c, Faults: faults, Source: Stream(next),
-		Patterns: nPatterns, CurveStep: curveStep,
-	})
 }
 
 // NewWeightedLFSR builds the hardware-faithful weighted pattern source:

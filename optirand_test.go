@@ -1,12 +1,41 @@
 package optirand_test
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 
 	"optirand"
 )
+
+// local is the serial in-process Runner the tests and benchmarks of
+// this package share. A local Runner holds no resources, so it is
+// never closed.
+var local = optirand.NewRunner()
+
+// runOptimize runs OPTIMIZE for c's faults on the local Runner.
+func runOptimize(c *optirand.Circuit, faults []optirand.Fault, opts optirand.OptimizeOptions) (*optirand.OptimizeResult, error) {
+	return local.Optimize(context.Background(), optirand.OptimizeSpec{Circuit: c, Faults: faults, Options: opts})
+}
+
+// runCampaign runs spec on r and fails tb if the spec is rejected.
+func runCampaign(tb testing.TB, r *optirand.Runner, spec optirand.CampaignSpec) *optirand.CampaignResult {
+	tb.Helper()
+	res, err := r.Campaign(context.Background(), spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+// weighted is the CampaignSpec of a seeded weighted random campaign.
+func weighted(c *optirand.Circuit, faults []optirand.Fault, weights []float64, patterns int, seed uint64, curveStep int) optirand.CampaignSpec {
+	return optirand.CampaignSpec{
+		Circuit: c, Faults: faults, Source: optirand.Weights(weights),
+		Patterns: patterns, Seed: seed, CurveStep: curveStep,
+	}
+}
 
 // TestPublicAPIEndToEnd exercises the documented flow of the package
 // comment: parse/build, fault extraction, analysis, optimization,
@@ -29,7 +58,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Errorf("S1 conventional N = %v, expected random-pattern resistance (>1e7)", before.N)
 	}
 
-	res, err := optirand.OptimizeWeights(c, faults, optirand.OptimizeOptions{})
+	res, err := runOptimize(c, faults, optirand.OptimizeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,8 +66,8 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Errorf("optimization gain too small: %v -> %v", before.N, res.FinalN)
 	}
 
-	conv := optirand.SimulateRandomTest(c, faults, uniform, 4000, 1, 0)
-	opt := optirand.SimulateRandomTest(c, faults, res.Weights, 4000, 1, 0)
+	conv := runCampaign(t, local, weighted(c, faults, uniform, 4000, 1, 0))
+	opt := runCampaign(t, local, weighted(c, faults, res.Weights, 4000, 1, 0))
 	if opt.Coverage() <= conv.Coverage() {
 		t.Errorf("optimized coverage %v not above conventional %v", opt.Coverage(), conv.Coverage())
 	}
@@ -107,8 +136,11 @@ func TestPublicAPIMixtureSimulation(t *testing.T) {
 	bench, _ := optirand.BenchmarkByName("c432")
 	c := bench.Build()
 	faults := optirand.CollapsedFaults(c)
-	sets := [][]float64{optirand.UniformWeights(c), optirand.UniformWeights(c)}
-	res := optirand.SimulateRandomTestMixture(c, faults, sets, 2000, 5, 0)
+	res := runCampaign(t, local, optirand.CampaignSpec{
+		Circuit: c, Faults: faults,
+		Source:   optirand.Mixture(optirand.UniformWeights(c), optirand.UniformWeights(c)),
+		Patterns: 2000, Seed: 5,
+	})
 	if res.Coverage() <= 0.5 {
 		t.Errorf("mixture campaign coverage %v suspiciously low", res.Coverage())
 	}
@@ -119,7 +151,9 @@ func TestPublicAPISimulateWithSource(t *testing.T) {
 	c := bench.Build()
 	faults := optirand.CollapsedFaults(c)
 	src := optirand.NewWeightedLFSR(optirand.UniformWeights(c), 9)
-	res := optirand.SimulateWithSource(c, faults, src.NextWords, 2000, 0)
+	res := runCampaign(t, local, optirand.CampaignSpec{
+		Circuit: c, Faults: faults, Source: optirand.Stream(src.NextWords), Patterns: 2000,
+	})
 	if res.Coverage() <= 0.5 {
 		t.Errorf("LFSR campaign coverage %v suspiciously low", res.Coverage())
 	}

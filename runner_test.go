@@ -472,65 +472,6 @@ func TestRunnerSweepEachMatchesSweep(t *testing.T) {
 	}
 }
 
-// TestRunnerDeprecatedFacadeDelegates proves the pre-Runner facade
-// functions produce byte-identical results to their Runner spellings —
-// they are documented as thin wrappers and must stay that way.
-func TestRunnerDeprecatedFacadeDelegates(t *testing.T) {
-	ctx := context.Background()
-	b, _ := optirand.BenchmarkByName("c432")
-	c := b.Build()
-	faults := optirand.CollapsedFaults(c)
-	uniform := optirand.UniformWeights(c)
-	skewed := make([]float64, len(uniform))
-	for i := range skewed {
-		skewed[i] = 0.2 + 0.6*float64(i)/float64(len(skewed))
-	}
-	r := optirand.NewRunner(optirand.WithSimWorkers(3))
-	defer r.Close()
-
-	plain, err := r.Campaign(ctx, optirand.CampaignSpec{
-		Circuit: c, Faults: faults, Source: optirand.Weights(uniform),
-		Patterns: 700, Seed: 9, CurveStep: 128,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := optirand.SimulateRandomTest(c, faults, uniform, 700, 9, 128); !reflect.DeepEqual(plain, got) {
-		t.Fatal("SimulateRandomTest differs from Runner.Campaign")
-	}
-	if got := optirand.SimulateRandomTestWorkers(c, faults, uniform, 700, 9, 128, 3); !reflect.DeepEqual(plain, got) {
-		t.Fatal("SimulateRandomTestWorkers differs from Runner.Campaign")
-	}
-
-	mix, err := r.Campaign(ctx, optirand.CampaignSpec{
-		Circuit: c, Faults: faults, Source: optirand.Mixture(uniform, skewed),
-		Patterns: 700, Seed: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sets := [][]float64{uniform, skewed}
-	if got := optirand.SimulateRandomTestMixture(c, faults, sets, 700, 9, 0); !reflect.DeepEqual(mix, got) {
-		t.Fatal("SimulateRandomTestMixture differs from Runner.Campaign")
-	}
-	if got := optirand.SimulateRandomTestMixtureWorkers(c, faults, sets, 700, 9, 0, 2); !reflect.DeepEqual(mix, got) {
-		t.Fatal("SimulateRandomTestMixtureWorkers differs from Runner.Campaign")
-	}
-
-	// Stream sources: the LFSR hardware model through both spellings.
-	src1 := optirand.NewWeightedLFSR(uniform, 4)
-	viaRunner, err := r.Campaign(ctx, optirand.CampaignSpec{
-		Circuit: c, Faults: faults, Source: optirand.Stream(src1.NextWords), Patterns: 640,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src2 := optirand.NewWeightedLFSR(uniform, 4)
-	if got := optirand.SimulateWithSource(c, faults, src2.NextWords, 640, 0); !reflect.DeepEqual(viaRunner, got) {
-		t.Fatal("SimulateWithSource differs from Runner.Campaign")
-	}
-}
-
 // TestRunnerOptimizeRemoteMatchesLocal proves Runner.Optimize produces
 // identical weights and test lengths in-process and through a live
 // daemon, and that non-portable options are rejected remotely with a
