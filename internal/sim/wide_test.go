@@ -38,8 +38,8 @@ func checkWideReference(t *testing.T, c *circuit.Circuit, faults []fault.Fault, 
 			batches[b][i] = rng.Uint64()
 		}
 	}
-	// sampled calls visit for every sampled bit of every batch with
-	// that bit's scalar input assignment.
+	// sampled calls visit once per sampled bit of every batch, with in
+	// holding that pattern's scalar input assignment.
 	in := make([]bool, c.NumInputs())
 	sampled := func(visit func(b, bit int)) {
 		for b, words := range batches {
